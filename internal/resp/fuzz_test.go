@@ -11,8 +11,9 @@ import (
 // its contract: no panics, no unbounded allocation (every returned
 // argument respects the limits), protocol errors always leave the
 // stream either re-synchronized or terminally failed, and the loop
-// always terminates. Valid frames written by the Writer must round-trip
-// exactly.
+// always terminates. The borrowing entry point reads the same bytes in
+// lockstep and must return the same arguments and the same errors.
+// Valid frames written by the Writer must round-trip exactly.
 func FuzzRESPParse(f *testing.F) {
 	f.Add([]byte("*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n"))
 	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nhello\r\n"))
@@ -28,8 +29,21 @@ func FuzzRESPParse(f *testing.F) {
 	lim := Limits{MaxArrayLen: 8, MaxBulkLen: 256, MaxInlineLen: 128}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReaderLimits(bytes.NewReader(data), lim)
+		rb := NewReaderLimits(bytes.NewReader(data), lim)
 		for i := 0; i < len(data)+4; i++ {
 			args, err := r.ReadCommand()
+			borrowed, berr := rb.ReadCommandBorrow()
+			if (err == nil) != (berr == nil) || err != nil && (err.Error() != berr.Error() || IsProtocol(err) != IsProtocol(berr)) {
+				t.Fatalf("read %d: ReadCommand error %v, ReadCommandBorrow error %v", i, err, berr)
+			}
+			if len(args) != len(borrowed) {
+				t.Fatalf("read %d: ReadCommand %q, ReadCommandBorrow %q", i, args, borrowed)
+			}
+			for j := range args {
+				if !bytes.Equal(args[j], borrowed[j]) {
+					t.Fatalf("read %d: ReadCommand %q, ReadCommandBorrow %q", i, args, borrowed)
+				}
+			}
 			if err != nil {
 				if IsProtocol(err) {
 					continue // recoverable: the parser resynchronized

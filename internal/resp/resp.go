@@ -73,11 +73,19 @@ func IsProtocol(err error) bool {
 type Reader struct {
 	br  *bufio.Reader
 	lim Limits
-	// args is the reusable command buffer: element byte slices are
-	// freshly allocated per command (the server retains keys and values
-	// past the call), but the [][]byte spine is recycled.
-	args [][]byte
+	// args is the reusable [][]byte spine of the current command. Its
+	// elements point into arena, the per-Reader scratch that every
+	// command's payloads are copied into; ReadCommandBorrow hands them
+	// out as they are, ReadCommand copies them out first.
+	args  [][]byte
+	arena []byte
 }
+
+// maxArenaKeep caps the arena a Reader keeps between commands. A command
+// whose payloads grew it past this is still parsed into it, but the next
+// read drops it, so one large value does not stay pinned by an idle
+// connection.
+const maxArenaKeep = 64 << 10
 
 // NewReader wraps r with DefaultLimits.
 func NewReader(r io.Reader) *Reader { return NewReaderLimits(r, DefaultLimits) }
@@ -103,14 +111,43 @@ func NewReaderLimits(r io.Reader, lim Limits) *Reader {
 func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // ReadCommand reads the next command as a slice of arguments. Empty
-// inline lines are skipped. The returned slices are freshly allocated
-// and safe to retain; the outer slice is reused by the next call.
+// inline lines are skipped. The argument slices are safe to retain:
+// they share one fresh allocation per command. The outer slice is reused
+// by the next call.
 //
 // A *ProtoError return means the frame was malformed but consumed: the
 // caller should report it to the client and keep reading. Any other
 // error is terminal for the connection.
 func (r *Reader) ReadCommand() ([][]byte, error) {
+	args, err := r.ReadCommandBorrow()
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, a := range args {
+		n += len(a)
+	}
+	own := make([]byte, 0, n)
+	for i, a := range args {
+		start := len(own)
+		own = append(own, a...)
+		args[i] = own[start:len(own):len(own)]
+	}
+	return args, nil
+}
+
+// ReadCommandBorrow is ReadCommand without the copy: the arguments point
+// into the Reader's scratch arena and stay valid only until the next
+// ReadCommand or ReadCommandBorrow call. The caller may modify
+// them in place (the server uppercases command words), but must copy
+// whatever it keeps beyond that. Both entry points run the same parser,
+// so they return the same arguments and the same errors.
+func (r *Reader) ReadCommandBorrow() ([][]byte, error) {
+	if cap(r.arena) > maxArenaKeep {
+		r.arena = nil
+	}
 	for {
+		r.arena = r.arena[:0]
 		b, err := r.br.ReadByte()
 		if err != nil {
 			return nil, err
@@ -134,6 +171,18 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		}
 		return args, nil
 	}
+}
+
+// alloc returns n bytes of arena for one argument. When the arena is
+// full it is replaced, not grown: arguments already handed out keep
+// pointing into the old array, which nothing writes again.
+func (r *Reader) alloc(n int) []byte {
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]byte, 0, max(2*cap(r.arena), n, 512))
+	}
+	start := len(r.arena)
+	r.arena = r.arena[:start+n]
+	return r.arena[start : start+n : start+n]
 }
 
 // readLine reads through the next '\n', returning the line without its
@@ -191,7 +240,9 @@ func (r *Reader) readInline() ([][]byte, error) {
 		for j < len(line) && line[j] != ' ' && line[j] != '\t' {
 			j++
 		}
-		args = append(args, append([]byte(nil), line[i:j]...))
+		arg := r.alloc(j - i)
+		copy(arg, line[i:j])
+		args = append(args, arg)
 		i = j
 	}
 	r.args = args
@@ -283,7 +334,7 @@ func (r *Reader) readBulkElem() ([]byte, error) {
 		}
 		return nil, protoErrf("ERR Protocol error: bulk length %d exceeds limit %d", n, r.lim.MaxBulkLen)
 	}
-	payload := make([]byte, n)
+	payload := r.alloc(n)
 	if _, err := io.ReadFull(r.br, payload); err != nil {
 		return nil, err
 	}
@@ -336,8 +387,14 @@ type Writer struct {
 	num [24]byte // scratch for integer rendering
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{bw: bufio.NewWriter(w)} }
+// NewWriter wraps w with bufio's default 4 KiB buffer.
+func NewWriter(w io.Writer) *Writer { return NewWriterSize(w, 0) }
+
+// NewWriterSize wraps w with a size-byte buffer (bufio's default when
+// size <= 0): replies reach w only when the buffer fills or on Flush.
+func NewWriterSize(w io.Writer, size int) *Writer {
+	return &Writer{bw: bufio.NewWriterSize(w, size)}
+}
 
 // Flush writes out everything buffered and returns the first error the
 // underlying stream reported.

@@ -4,10 +4,17 @@
 // One goroutine per connection reads commands through internal/resp,
 // executes them against a shared Cache[string, []byte], and writes
 // replies in order. Pipelining costs nothing extra: replies accumulate
-// in the connection's buffered writer and flush only when the parser
-// has no more buffered input to serve, so a burst of N commands pays
-// one syscall out instead of N. MGET and MSET funnel straight into the
-// cache's GetBatch/SetBatch, which take each shard lock once per batch.
+// in the connection's reply buffer and flush only when the parser has
+// no more buffered input to serve, so a burst of N commands whose
+// replies fit the buffer pays one syscall out instead of N. MGET and
+// MSET funnel straight into the cache's GetBatch/SetBatch, which take
+// each shard lock once per batch.
+//
+// Commands are served from the parser's borrowed arguments, which the
+// next read overwrites. Reads and key-addressed updates hand the cache a
+// string view of the key (the cache never retains a lookup key); SET and
+// MSET copy the key and value the cache stores. A GET therefore costs no
+// heap allocation.
 //
 // Tenancy rides on the cache's way partitioning: each configured tenant
 // maps to a cpacache tenant id with an optional way quota and byte
@@ -31,6 +38,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -41,6 +49,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/resp"
 	"repro/pkg/cpacache"
@@ -445,9 +454,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// connState is the per-connection session: its tenant binding and the
-// batch scratch MGET/MSET reuse across commands.
+// replyBufSize is each connection's reply buffer: a pipelined burst
+// whose replies fit in it leaves in one write. 16 KiB is redis's reply
+// chunk, and holds a 32-deep burst of GET hits on values up to ~500 B.
+const replyBufSize = 16 << 10
+
+// connState is the per-connection session: its socket and codec, its
+// tenant binding and the batch scratch MGET/MSET reuse across commands.
 type connState struct {
+	conn net.Conn
+	r    *resp.Reader
+	w    *resp.Writer
+
 	tenant int
 	authed bool
 	bound  bool // counted in tenantConns[tenant]
@@ -509,7 +527,7 @@ func isTimeout(err error) bool {
 // is counted, answered with -ERR, and costs exactly that connection —
 // never the process and never another tenant's session.
 func (s *Server) serveConn(conn net.Conn) {
-	st := &connState{authed: !s.gate}
+	st := s.newConnState(conn)
 	defer func() {
 		if st.bound {
 			s.tenantConns[st.tenant].Add(-1)
@@ -526,69 +544,97 @@ func (s *Server) serveConn(conn net.Conn) {
 			pw.Flush()
 		}
 	}()
-	w := resp.NewWriter(conn)
 	if !s.gate && !s.bindTenant(st, 0) {
 		s.nRejected.Add(1)
 		conn.SetWriteDeadline(time.Now().Add(time.Second))
-		w.Error(maxClientsMsg)
-		w.Flush()
+		st.w.Error(maxClientsMsg)
+		st.w.Flush()
 		return
 	}
-	r := resp.NewReaderLimits(conn, s.cfg.Limits)
-	for {
-		// Arm the idle/read deadline — except while draining, when the
-		// immediate deadline Shutdown installed must stay in force.
-		if s.cfg.ReadTimeout > 0 && !s.draining.Load() {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		}
-		args, err := r.ReadCommand()
-		if err != nil {
-			if resp.IsProtocol(err) {
-				// Malformed frame: the parser resynchronized, the
-				// session continues — one error reply per bad frame.
-				w.Error(err.Error())
-				if r.Buffered() == 0 && s.flush(conn, w) != nil {
-					return
-				}
-				continue
-			}
-			if isTimeout(err) && !s.draining.Load() {
-				// Slow or idle client: reclaim the connection. The
-				// write side still works, so pending replies flush.
-				s.nSlowEvicted.Add(1)
-				s.logf("cpacached evicting slow client %s: no command in %v", conn.RemoteAddr(), s.cfg.ReadTimeout)
-			}
-			// EOF, client reset, eviction, or the drain deadline: flush
-			// whatever replies are pending and close.
-			s.flush(conn, w)
-			return
-		}
-		s.nCommands.Add(1)
-		s.dispatch(st, w, args)
-		// Flush-on-idle: within a pipelined burst the replies stay
-		// buffered; the last command of the burst pays the one write.
-		if r.Buffered() == 0 {
-			if s.flush(conn, w) != nil {
-				return
-			}
-		}
-		if st.quit {
-			return
-		}
+	for s.serveOne(st) {
 	}
 }
 
-// commandName uppercases args[0] in place (command words are ASCII) and
-// returns it as a string. The in-place mutation is safe: the parser
-// allocated the slice for this command alone.
+// newConnState opens a session on conn: the parser, the reply buffer,
+// and no tenant binding yet.
+func (s *Server) newConnState(conn net.Conn) *connState {
+	return &connState{
+		conn:   conn,
+		r:      resp.NewReaderLimits(conn, s.cfg.Limits),
+		w:      resp.NewWriterSize(conn, replyBufSize),
+		authed: !s.gate,
+	}
+}
+
+// serveOne reads and executes one command of the session and reports
+// whether the session continues.
+func (s *Server) serveOne(st *connState) bool {
+	conn, r, w := st.conn, st.r, st.w
+	// Arm the idle/read deadline — except while draining, when the
+	// immediate deadline Shutdown installed must stay in force.
+	if s.cfg.ReadTimeout > 0 && !s.draining.Load() {
+		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
+	}
+	args, err := r.ReadCommandBorrow()
+	if err != nil {
+		if resp.IsProtocol(err) {
+			// Malformed frame: the parser resynchronized, the session
+			// continues — one error reply per bad frame.
+			w.Error(err.Error())
+			return r.Buffered() != 0 || s.flush(conn, w) == nil
+		}
+		if isTimeout(err) && !s.draining.Load() {
+			// Slow or idle client: reclaim the connection. The write
+			// side still works, so pending replies flush.
+			s.nSlowEvicted.Add(1)
+			s.logf("cpacached evicting slow client %s: no command in %v", conn.RemoteAddr(), s.cfg.ReadTimeout)
+		}
+		// EOF, client reset, eviction, or the drain deadline: flush
+		// whatever replies are pending and close.
+		s.flush(conn, w)
+		return false
+	}
+	s.nCommands.Add(1)
+	s.dispatch(st, w, args)
+	// Flush-on-idle: within a pipelined burst the replies stay buffered;
+	// the last command of the burst pays the one write.
+	if r.Buffered() == 0 && s.flush(conn, w) != nil {
+		return false
+	}
+	return !st.quit
+}
+
+// commandWords are the command, subcommand and option words the server
+// knows, most frequent first.
+var commandWords = [...]string{
+	"GET", "SET", "MGET", "MSET", "DEL", "EXISTS", "TTL", "PTTL", "EX", "PX",
+	"EXPIRE", "PEXPIRE", "PERSIST", "PING", "AUTH", "INFO", "CONFIG", "QUIT",
+	"COMMAND", "DEBUG", "PANIC", "SLEEP",
+}
+
+// commandName uppercases arg in place (command words are ASCII; the
+// parser's borrowed arguments are the server's to modify) and returns it
+// as a string: one of the commandWords constants when it is a known word,
+// so dispatching a known command allocates nothing, else a copy.
 func commandName(arg []byte) string {
 	for i, c := range arg {
 		if 'a' <= c && c <= 'z' {
 			arg[i] = c - 'a' + 'A'
 		}
 	}
+	for _, word := range commandWords {
+		if string(arg) == word {
+			return word
+		}
+	}
 	return string(arg)
 }
+
+// keyView returns a string aliasing b without copying it. It is only
+// passed to cache calls that never retain their key — see the key
+// ownership note in package cpacache — and must not outlive the command:
+// b lives in the parser's arena, which the next read overwrites.
+func keyView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 func (s *Server) dispatch(st *connState, w *resp.Writer, args [][]byte) {
 	cmd := commandName(args[0])
@@ -742,7 +788,7 @@ func (s *Server) cmdGet(st *connState, w *resp.Writer, args [][]byte) {
 		wrongArity(w, "get")
 		return
 	}
-	if v, ok := s.cache.GetTenant(st.tenant, string(args[1])); ok {
+	if v, ok := s.cache.GetTenant(st.tenant, keyView(args[1])); ok {
 		w.Bulk(v)
 	} else {
 		w.Null()
@@ -754,7 +800,6 @@ func (s *Server) cmdSet(st *connState, w *resp.Writer, args [][]byte) {
 		wrongArity(w, "set")
 		return
 	}
-	key, val := string(args[1]), args[2]
 	ttl := time.Duration(0)
 	haveTTL := false
 	for i := 3; i < len(args); i++ {
@@ -782,6 +827,9 @@ func (s *Server) cmdSet(st *connState, w *resp.Writer, args [][]byte) {
 			return
 		}
 	}
+	// The cache keeps the key and the value: copy both out of the
+	// parser's arena.
+	key, val := string(args[1]), bytes.Clone(args[2])
 	var err error
 	if haveTTL {
 		err = s.cache.SetTenantTTL(st.tenant, key, val, ttl)
@@ -806,7 +854,7 @@ func (s *Server) cmdMGet(st *connState, w *resp.Writer, args [][]byte) {
 	n := len(args) - 1
 	st.keys = st.keys[:0]
 	for _, a := range args[1:] {
-		st.keys = append(st.keys, string(a))
+		st.keys = append(st.keys, keyView(a))
 	}
 	if cap(st.vals) < n {
 		st.vals = make([][]byte, n)
@@ -840,7 +888,7 @@ func (s *Server) cmdMSet(st *connState, w *resp.Writer, args [][]byte) {
 	vals := st.vals[:n]
 	for i := 0; i < n; i++ {
 		st.keys = append(st.keys, string(args[1+2*i]))
-		vals[i] = args[2+2*i]
+		vals[i] = bytes.Clone(args[2+2*i])
 	}
 	err := s.cache.SetBatch(st.tenant, st.keys, vals)
 	clear(vals)
@@ -856,7 +904,7 @@ func (s *Server) cmdMSet(st *connState, w *resp.Writer, args [][]byte) {
 }
 
 // clearStrings drops the string references held by a scratch slice so a
-// pooled session does not pin freed keys.
+// session does not pin stored keys or a dropped parser arena.
 func clearStrings(ss []string) {
 	for i := range ss {
 		ss[i] = ""
@@ -918,7 +966,7 @@ func (s *Server) cmdDel(w *resp.Writer, args [][]byte) {
 	}
 	n := int64(0)
 	for _, a := range args[1:] {
-		if s.cache.Delete(string(a)) {
+		if s.cache.Delete(keyView(a)) {
 			n++
 		}
 	}
@@ -932,7 +980,7 @@ func (s *Server) cmdExists(w *resp.Writer, args [][]byte) {
 	}
 	n := int64(0)
 	for _, a := range args[1:] {
-		if _, _, present := s.cache.TTL(string(a)); present {
+		if _, _, present := s.cache.TTL(keyView(a)); present {
 			n++
 		}
 	}
@@ -948,7 +996,7 @@ func (s *Server) cmdTTL(w *resp.Writer, args [][]byte, unit time.Duration) {
 		wrongArity(w, "ttl")
 		return
 	}
-	remaining, hasTTL, present := s.cache.TTL(string(args[1]))
+	remaining, hasTTL, present := s.cache.TTL(keyView(args[1]))
 	switch {
 	case !present:
 		w.Int(-2)
@@ -988,7 +1036,7 @@ func (s *Server) cmdExpire(w *resp.Writer, args [][]byte, unit time.Duration) {
 	default:
 		ttl = time.Duration(n) * unit
 	}
-	if s.cache.SetTTL(string(args[1]), ttl) {
+	if s.cache.SetTTL(keyView(args[1]), ttl) {
 		w.Int(1)
 	} else {
 		w.Int(0)
@@ -1002,7 +1050,7 @@ func (s *Server) cmdPersist(w *resp.Writer, args [][]byte) {
 		wrongArity(w, "persist")
 		return
 	}
-	key := string(args[1])
+	key := keyView(args[1])
 	if _, hasTTL, present := s.cache.TTL(key); !present || !hasTTL {
 		w.Int(0)
 		return

@@ -134,7 +134,7 @@ func (c *Cache[K, V]) GetBatch(tenant int, keys []K, vals []V, oks []bool) int {
 				v, ok, done = c.getNoLock(sh, set, tenant, tag, k)
 			}
 			if !done {
-				v, ok = c.getLocked(sh, set, tenant, tag, k)
+				v, ok = c.getLocked(sh, h, set, tenant, tag, k)
 			}
 			vals[i] = v
 			oks[i] = ok
@@ -163,7 +163,7 @@ func (c *Cache[K, V]) GetBatch(tenant int, keys []K, vals []V, oks []bool) int {
 			base := set * c.ways
 			tbase := c.tagBase(set)
 			if sh.prof.isSampled(set) {
-				sh.prof.record(set, tenant, keys[i])
+				sh.prof.record(set, tenant, s.hash[i])
 			}
 			// Probe inlined (as in getLocked) to keep the per-key loop
 			// free of call overhead.

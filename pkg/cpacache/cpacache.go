@@ -41,6 +41,13 @@
 // repartitioning stays allocation-free. WithImmediateRecency restores
 // the fully locked, touch-on-hit data plane when exact eviction-order
 // reproducibility matters more than read scalability.
+//
+// Key ownership: only writes (SetTenant, SetTenantTTL, SetBatch) store
+// the key they are given. Lookups and key-addressed updates — GetTenant,
+// GetBatch, Delete, TTL, SetTTL — compare and hash the key but never
+// retain it past the call (the profiler keeps key hashes, not keys), so
+// a caller may pass a key that aliases a buffer it reuses afterwards,
+// such as a string view of a network read buffer.
 package cpacache
 
 import (
@@ -193,7 +200,7 @@ type shard[K comparable, V any] struct {
 	masks  []plru.WayMask
 	live   atomic.Int64 // written under mu, read lock-free by Len
 	stats  []TenantStats
-	prof   profiler[K]
+	prof   profiler
 
 	// hm is the striped hit/miss plane: one cache-line-padded cell per
 	// tenant, bumped with plain increments by every lookup path and
@@ -559,20 +566,20 @@ func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 			return v, ok
 		}
 	}
-	return c.getLocked(sh, set, tenant, tag, key)
+	return c.getLocked(sh, h, set, tenant, tag, key)
 }
 
 // getLocked is the mutex-guarded lookup: the original data plane, and
 // the fallback for everything the optimistic path cannot do — profile
 // recording, expired-line reclamation, contended retries, pointerful
 // types and race builds.
-func (c *Cache[K, V]) getLocked(sh *shard[K, V], set, tenant int, tag uint8, key K) (V, bool) {
+func (c *Cache[K, V]) getLocked(sh *shard[K, V], h uint64, set, tenant int, tag uint8, key K) (V, bool) {
 	base := set * c.ways
 	tbase := c.tagBase(set)
 
 	sh.mu.Lock()
 	if sh.prof.isSampled(set) {
-		sh.prof.record(set, tenant, key)
+		sh.prof.record(set, tenant, h)
 		if sh.shadow != nil {
 			sh.shadow.access(int(sh.prof.slot[set]), tenant, tag)
 		}
