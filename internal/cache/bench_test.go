@@ -3,11 +3,11 @@ package cache
 import (
 	"testing"
 
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
-func benchAccess(b *testing.B, kind replacement.Kind) {
+func benchAccess(b *testing.B, kind plru.Kind) {
 	b.Helper()
 	c := New(Config{
 		Name: "L2", SizeBytes: 2 << 20, LineBytes: 128, Ways: 16,
@@ -25,7 +25,7 @@ func benchAccess(b *testing.B, kind replacement.Kind) {
 	}
 }
 
-func BenchmarkAccessLRU(b *testing.B)    { benchAccess(b, replacement.LRU) }
-func BenchmarkAccessNRU(b *testing.B)    { benchAccess(b, replacement.NRU) }
-func BenchmarkAccessBT(b *testing.B)     { benchAccess(b, replacement.BT) }
-func BenchmarkAccessRandom(b *testing.B) { benchAccess(b, replacement.Random) }
+func BenchmarkAccessLRU(b *testing.B)    { benchAccess(b, plru.LRU) }
+func BenchmarkAccessNRU(b *testing.B)    { benchAccess(b, plru.NRU) }
+func BenchmarkAccessBT(b *testing.B)     { benchAccess(b, plru.BT) }
+func BenchmarkAccessRandom(b *testing.B) { benchAccess(b, plru.Random) }

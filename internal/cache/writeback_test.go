@@ -3,11 +3,11 @@ package cache
 import (
 	"testing"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 func TestWriteMarksDirty(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	c.AccessRW(0, 0, true) // write-allocate, dirty
 	// Fill the set; evicting the dirty line must report a writeback.
 	for i := 1; i < 4; i++ {
@@ -23,7 +23,7 @@ func TestWriteMarksDirty(t *testing.T) {
 }
 
 func TestCleanEvictionNoWriteback(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	for i := 0; i < 5; i++ {
 		c.Access(0, uint64(i)*256) // reads only
 	}
@@ -33,7 +33,7 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 }
 
 func TestWriteHitDirtiesExistingLine(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	c.Access(0, 0)         // clean fill
 	c.AccessRW(0, 0, true) // write hit -> dirty
 	for i := 1; i < 5; i++ {
@@ -45,7 +45,7 @@ func TestWriteHitDirtiesExistingLine(t *testing.T) {
 }
 
 func TestEvictedAddrRoundTrips(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 1))
+	c := New(smallCfg(plru.LRU, 1))
 	const victim = uint64(0x1500) // line 0x54, set (0x54 % 4) = 0
 	c.AccessRW(0, victim, true)
 	set, _ := c.Index(victim)
@@ -70,7 +70,7 @@ func TestEvictedAddrRoundTrips(t *testing.T) {
 }
 
 func TestWritebackAttributedToOwner(t *testing.T) {
-	c := New(smallCfg(replacement.LRU, 2))
+	c := New(smallCfg(plru.LRU, 2))
 	c.AccessRW(0, 0, true) // core 0's dirty line
 	for i := 1; i < 5; i++ {
 		c.Access(1, uint64(i)*256) // core 1 evicts it

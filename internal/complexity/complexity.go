@@ -9,7 +9,7 @@ package complexity
 import (
 	"fmt"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // Geometry describes the cache the costs are computed for.
@@ -54,22 +54,22 @@ func log2(v int) int {
 // the given scheme, with or without global-replacement-mask partitioning
 // support (Table I(a)). Masks, pointers, and up/down vectors are global
 // (not per set), exactly as in the table.
-func StorageBits(kind replacement.Kind, g Geometry, partitioned bool) int {
+func StorageBits(kind plru.Kind, g Geometry, partitioned bool) int {
 	sets := g.Sets()
 	a := g.Ways
 	var bits int
 	switch kind {
-	case replacement.LRU:
+	case plru.LRU:
 		bits = sets * a * log2(a) // A*log2(A) bits per set
 		if partitioned {
 			bits += a * g.Cores // A×N owner mask bits (global)
 		}
-	case replacement.NRU:
+	case plru.NRU:
 		bits = sets*a + log2(a) // A used bits per set + global pointer
 		if partitioned {
 			bits += a * g.Cores // A×N owner mask bits (global)
 		}
-	case replacement.BT:
+	case plru.BT:
 		bits = sets * (a - 1) // A-1 tree bits per set
 		if partitioned {
 			bits += g.Cores * 2 * log2(a) // per-core up + down vectors
@@ -81,7 +81,7 @@ func StorageBits(kind replacement.Kind, g Geometry, partitioned bool) int {
 }
 
 // StorageKB returns StorageBits converted to kilobytes.
-func StorageKB(kind replacement.Kind, g Geometry, partitioned bool) float64 {
+func StorageKB(kind plru.Kind, g Geometry, partitioned bool) float64 {
 	return float64(StorageBits(kind, g, partitioned)) / 8 / 1024
 }
 
@@ -90,7 +90,7 @@ func StorageKB(kind replacement.Kind, g Geometry, partitioned bool) float64 {
 // EventCosts collects the per-event bit counts of Table I(b) for one
 // scheme.
 type EventCosts struct {
-	Kind replacement.Kind
+	Kind plru.Kind
 	// TagCompare is the bits read to match the tag: A × TagBits.
 	TagCompare int
 	// UpdateNoPart is the worst-case bits updated to record an access
@@ -116,7 +116,7 @@ type EventCosts struct {
 // LRU in owned lines" the paper prints 52 bits next to the formula
 // (A−1)×log2(A), which evaluates to 60 for A=16. We implement the formula;
 // the printed 52 appears to be an arithmetic slip in the paper.
-func Costs(kind replacement.Kind, g Geometry) EventCosts {
+func Costs(kind plru.Kind, g Geometry) EventCosts {
 	a := g.Ways
 	l2a := log2(a)
 	c := EventCosts{
@@ -125,17 +125,17 @@ func Costs(kind replacement.Kind, g Geometry) EventCosts {
 		GetData:    g.LineBits,
 	}
 	switch kind {
-	case replacement.LRU:
+	case plru.LRU:
 		c.UpdateNoPart = a * l2a
 		c.FindOwned = g.Cores * a
 		c.UpdatePart = (a - 1) * l2a
 		c.ProfilingRead = l2a
-	case replacement.NRU:
+	case plru.NRU:
 		c.UpdateNoPart = (a - 1) + l2a // A-1 used bits + pointer
 		c.FindOwned = g.Cores * a
 		c.UpdatePart = (a - 1) + l2a
 		c.ProfilingRead = a // count the used bits
-	case replacement.BT:
+	case plru.BT:
 		c.UpdateNoPart = l2a
 		c.FindOwned = 0                 // up/down vectors already restrict the search
 		c.UpdatePart = l2a + 2*l2a      // BT bits + up and down vectors
@@ -154,7 +154,7 @@ type Row struct {
 
 // Report renders both halves of Table I for the geometry.
 func Report(g Geometry) []Row {
-	kinds := [3]replacement.Kind{replacement.LRU, replacement.NRU, replacement.BT}
+	kinds := [3]plru.Kind{plru.LRU, plru.NRU, plru.BT}
 	var rows []Row
 
 	storage := Row{Label: "Storage, no partitioning (KB)"}

@@ -23,9 +23,9 @@ import (
 	"strings"
 
 	"repro/internal/cache"
-	"repro/internal/partition"
 	"repro/internal/profiling"
-	"repro/internal/replacement"
+	"repro/pkg/cpapart"
+	"repro/pkg/plru"
 )
 
 // Enforcement identifies how partitions are enforced at eviction time.
@@ -62,12 +62,12 @@ func (e Enforcement) String() string {
 
 // Config describes one CPA configuration.
 type Config struct {
-	Acronym     string           // display name, e.g. "M-0.75N"
-	Enforcement Enforcement      // how partitions are enforced
-	Policy      replacement.Kind // replacement in both L2 and ATDs
-	NRUScale    float64          // eSDH scaling factor (NRU only)
-	SampleRate  int              // ATD set sampling (paper: 32)
-	Interval    uint64           // repartition interval in cycles (paper: 1M)
+	Acronym     string      // display name, e.g. "M-0.75N"
+	Enforcement Enforcement // how partitions are enforced
+	Policy      plru.Kind   // replacement in both L2 and ATDs
+	NRUScale    float64     // eSDH scaling factor (NRU only)
+	SampleRate  int         // ATD set sampling (paper: 32)
+	Interval    uint64      // repartition interval in cycles (paper: 1M)
 	// CountColdHits enables the NRU used==0 ablation (see profiling).
 	CountColdHits bool
 	// UseLookahead switches MinMisses to the greedy Lookahead algorithm
@@ -92,10 +92,10 @@ func (c Config) Partitioned() bool { return c.Enforcement != EnforceNone }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Enforcement == EnforceUpDown && c.Policy != replacement.BT {
+	if c.Enforcement == EnforceUpDown && c.Policy != plru.BT {
 		return fmt.Errorf("core: up/down enforcement requires BT, got %v", c.Policy)
 	}
-	if c.Policy == replacement.NRU && c.Partitioned() && (c.NRUScale <= 0 || c.NRUScale > 1) {
+	if c.Policy == plru.NRU && c.Partitioned() && (c.NRUScale <= 0 || c.NRUScale > 1) {
 		return fmt.Errorf("core: NRU scale %v out of (0,1]", c.NRUScale)
 	}
 	if c.Partitioned() {
@@ -109,7 +109,7 @@ func (c Config) Validate() error {
 	if c.Goal == GoalQoS && c.QoSTarget < 1 {
 		return fmt.Errorf("core: QoS goal needs QoSTarget >= 1, got %v", c.QoSTarget)
 	}
-	if c.InCacheProfiling && c.Policy != replacement.LRU {
+	if c.InCacheProfiling && c.Policy != plru.LRU {
 		return fmt.Errorf("core: in-cache profiling requires LRU, got %v", c.Policy)
 	}
 	return nil
@@ -139,16 +139,16 @@ func ParseAcronym(s string) (Config, error) {
 	rest := parts[1]
 	switch {
 	case rest == "L":
-		cfg.Policy = replacement.LRU
+		cfg.Policy = plru.LRU
 	case rest == "BT":
-		cfg.Policy = replacement.BT
+		cfg.Policy = plru.BT
 		if cfg.Enforcement == EnforceMasks {
 			// The paper's M-BT uses the up/down vectors as its masks
 			// mechanism; keep the M- prefix but enforce via the tree.
 			cfg.Enforcement = EnforceUpDown
 		}
 	case strings.HasSuffix(rest, "N"):
-		cfg.Policy = replacement.NRU
+		cfg.Policy = plru.NRU
 		scale, err := strconv.ParseFloat(strings.TrimSuffix(rest, "N"), 64)
 		if err != nil {
 			return Config{}, fmt.Errorf("core: bad NRU scale in %q: %v", s, err)
@@ -185,11 +185,11 @@ type System struct {
 	ways     int
 	monitors []*profiling.Monitor
 	inCache  *profiling.InCacheProfiler
-	algo     partition.Algorithm
+	algo     cpapart.Algorithm
 
-	alloc  partition.Allocation
-	masks  []replacement.WayMask
-	blocks []partition.Block
+	alloc  cpapart.Allocation
+	masks  []plru.WayMask
+	blocks []cpapart.Block
 	ups    [][]bool
 	downs  [][]bool
 
@@ -199,7 +199,7 @@ type System struct {
 
 	// OnRepartition, when non-nil, observes every repartition decision
 	// (used by the partition-explorer example and tests).
-	OnRepartition func(cycle uint64, alloc partition.Allocation)
+	OnRepartition func(cycle uint64, alloc cpapart.Allocation)
 }
 
 // NewSystem builds the CPA for the given shared L2 and installs itself as
@@ -229,9 +229,9 @@ func NewSystem(cfg Config, l2 *cache.Cache) (*System, error) {
 		return nil, fmt.Errorf("core: %d cores cannot each own a way of a %d-way cache", lc.Cores, lc.Ways)
 	}
 	if cfg.UseLookahead {
-		s.algo = partition.Lookahead{}
+		s.algo = cpapart.Lookahead{}
 	} else {
-		s.algo = partition.MinMisses{}
+		s.algo = cpapart.MinMisses{}
 	}
 	if cfg.InCacheProfiling {
 		s.inCache = profiling.NewInCacheProfiler(lc.Cores, lc.Ways)
@@ -252,7 +252,7 @@ func NewSystem(cfg Config, l2 *cache.Cache) (*System, error) {
 	}
 	// Start from an equal split until the first interval elapses.
 	curves := s.missCurves()
-	s.install(partition.Fair{}.Allocate(curves, s.ways))
+	s.install(cpapart.Fair{}.Allocate(curves, s.ways))
 	s.nextBoundary = cfg.Interval
 	l2.SetVictimSelector(s)
 	return s, nil
@@ -263,13 +263,13 @@ func (s *System) Config() Config { return s.cfg }
 
 // Allocation returns the current ways-per-core allocation (nil when not
 // partitioned).
-func (s *System) Allocation() partition.Allocation {
-	return append(partition.Allocation(nil), s.alloc...)
+func (s *System) Allocation() cpapart.Allocation {
+	return append(cpapart.Allocation(nil), s.alloc...)
 }
 
 // Masks returns the current per-core way masks (nil when not partitioned).
-func (s *System) Masks() []replacement.WayMask {
-	return append([]replacement.WayMask(nil), s.masks...)
+func (s *System) Masks() []plru.WayMask {
+	return append([]plru.WayMask(nil), s.masks...)
 }
 
 // Repartitions returns how many interval boundaries have been processed.
@@ -339,31 +339,31 @@ func (s *System) missCurves() [][]uint64 {
 }
 
 // install applies an allocation to the enforcement state.
-func (s *System) install(alloc partition.Allocation) {
+func (s *System) install(alloc cpapart.Allocation) {
 	s.alloc = alloc
 	switch s.cfg.Enforcement {
 	case EnforceMasks:
-		s.masks = partition.Masks(alloc, s.ways)
+		s.masks = cpapart.Masks(alloc, s.ways)
 	case EnforceCounters:
 		// Counters need only the allocation; masks are derived per set
 		// from owner bits at eviction time.
 		s.masks = nil
 	case EnforceUpDown:
-		blocks, err := partition.BuddyLayout(alloc, s.ways)
+		blocks, err := cpapart.BuddyLayout(alloc, s.ways)
 		if err != nil {
 			panic(fmt.Sprintf("core: buddy layout failed for %v: %v", alloc, err))
 		}
 		s.blocks = blocks
 		s.ups = make([][]bool, len(blocks))
 		s.downs = make([][]bool, len(blocks))
-		s.masks = make([]replacement.WayMask, len(blocks))
+		s.masks = make([]plru.WayMask, len(blocks))
 		for i, b := range blocks {
-			s.ups[i], s.downs[i] = partition.ForceVectors(b, s.ways)
+			s.ups[i], s.downs[i] = cpapart.ForceVectors(b, s.ways)
 			s.masks[i] = b.Mask()
 		}
 	}
 	// Scope NRU's used-bit reset rule to the new partition.
-	if s.cfg.Policy == replacement.NRU && s.masks != nil {
+	if s.cfg.Policy == plru.NRU && s.masks != nil {
 		s.l2.Policy().SetPartition(s.masks)
 	}
 }
@@ -372,13 +372,13 @@ func (s *System) install(alloc partition.Allocation) {
 // enforcement mechanism. It is called by the L2 only when the set is full.
 func (s *System) SelectVictim(c *cache.Cache, set, core int) int {
 	pol := c.Policy()
-	full := replacement.Full(s.ways)
+	full := plru.Full(s.ways)
 	switch s.cfg.Enforcement {
 	case EnforceMasks:
 		return pol.Victim(set, core, s.masks[core])
 	case EnforceCounters:
 		owned := c.OwnedMask(set, core)
-		var allowed replacement.WayMask
+		var allowed plru.WayMask
 		if owned.Count() < s.alloc[core] {
 			// Under quota: take a line from another thread (the paper's
 			// "LRU line among the lines that do not belong to the
@@ -393,7 +393,7 @@ func (s *System) SelectVictim(c *cache.Cache, set, core int) int {
 		}
 		return pol.Victim(set, core, allowed)
 	case EnforceUpDown:
-		bt := pol.(*replacement.BTPolicy)
+		bt := pol.(*plru.BTPolicy)
 		return bt.VictimForced(set, s.ups[core], s.downs[core])
 	default:
 		return pol.Victim(set, core, full)

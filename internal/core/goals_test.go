@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
 func TestGoalString(t *testing.T) {
@@ -47,7 +47,7 @@ func (f *fakePerf) PerfSince(core int) (uint64, float64) {
 func driveGoal(t *testing.T, goal Goal, qos float64) []int {
 	t.Helper()
 	const sets, ways = 8, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 300
@@ -102,7 +102,7 @@ func TestGoalQoSProducesValidAllocation(t *testing.T) {
 func TestGoalWithoutPerfSourceFallsBack(t *testing.T) {
 	// No PerfSource: IPC goals silently use MinMisses (documented).
 	const sets, ways = 4, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 100
@@ -145,7 +145,7 @@ func TestRoundToBuddy(t *testing.T) {
 
 func TestGoalBTUpdownUsesBuddyShares(t *testing.T) {
 	const sets, ways = 8, 8
-	l2 := cache.New(l2Config(replacement.BT, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.BT, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-BT")
 	cfg.SampleRate = 1
 	cfg.Interval = 300

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/partition"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/cpapart"
+	"repro/pkg/plru"
 )
 
 // TestOccupancyConvergesToAllocation drives a fully saturated cache with
@@ -16,12 +16,12 @@ import (
 func TestOccupancyConvergesToAllocation(t *testing.T) {
 	for _, tc := range []struct {
 		acr  string
-		kind replacement.Kind
+		kind plru.Kind
 	}{
-		{"M-L", replacement.LRU},
-		{"C-L", replacement.LRU},
-		{"M-0.75N", replacement.NRU},
-		{"M-BT", replacement.BT},
+		{"M-L", plru.LRU},
+		{"C-L", plru.LRU},
+		{"M-0.75N", plru.NRU},
+		{"M-BT", plru.BT},
 	} {
 		const sets, ways = 8, 8
 		l2 := cache.New(l2Config(tc.kind, 2, sets, ways))
@@ -61,7 +61,7 @@ func TestOccupancyConvergesToAllocation(t *testing.T) {
 // thread may HIT in any way — only evictions are restricted.
 func TestHitsOutsidePartitionStillAllowed(t *testing.T) {
 	const sets, ways = 4, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 1 << 62
@@ -83,7 +83,7 @@ func TestHitsOutsidePartitionStillAllowed(t *testing.T) {
 // shift ways toward it.
 func TestRepartitionAdaptsToPhaseChange(t *testing.T) {
 	const sets, ways = 16, 16
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 3000
@@ -94,7 +94,7 @@ func TestRepartitionAdaptsToPhaseChange(t *testing.T) {
 	rng := xrand.New(9)
 	var cycle uint64
 
-	run := func(hotLines0, hotLines1, iters int) partition.Allocation {
+	run := func(hotLines0, hotLines1, iters int) cpapart.Allocation {
 		for i := 0; i < iters; i++ {
 			a0 := uint64(rng.Intn(hotLines0)) * 64
 			a1 := uint64(1<<40) + uint64(rng.Intn(hotLines1))*64
@@ -126,7 +126,7 @@ func TestRepartitionAdaptsToPhaseChange(t *testing.T) {
 // once steady state is reached (masks mode).
 func TestEnforcementIsolationUnderAdversary(t *testing.T) {
 	const sets, ways = 8, 8
-	l2 := cache.New(l2Config(replacement.LRU, 2, sets, ways))
+	l2 := cache.New(l2Config(plru.LRU, 2, sets, ways))
 	cfg, _ := ParseAcronym("M-L")
 	cfg.SampleRate = 1
 	cfg.Interval = 1 << 62

@@ -1,8 +1,10 @@
-package partition
+package core
 
 import (
 	"fmt"
 	"math"
+
+	"repro/pkg/cpapart"
 )
 
 // This file implements the goal-directed partitioning policies the paper
@@ -31,7 +33,7 @@ type IPCEstimate struct {
 // miss curve (profiled units). Allocation 0 is a placeholder (same as 1).
 func (e IPCEstimate) Curve(misses []uint64, ways int) []float64 {
 	if len(misses) != ways+1 {
-		panic(fmt.Sprintf("partition: miss curve has %d entries, want %d", len(misses), ways+1))
+		panic(fmt.Sprintf("core: miss curve has %d entries, want %d", len(misses), ways+1))
 	}
 	if e.Cycles <= 0 || e.Insts == 0 {
 		// No observation yet: fall back to a flat positive curve so the
@@ -75,7 +77,7 @@ type MaxThroughput struct{}
 func (MaxThroughput) Name() string { return "MaxThroughput" }
 
 // AllocateIPC maximizes the sum of the per-thread IPC curves.
-func (MaxThroughput) AllocateIPC(curves [][]float64, ways int) Allocation {
+func (MaxThroughput) AllocateIPC(curves [][]float64, ways int) cpapart.Allocation {
 	checkIPCInputs(curves, ways)
 	n := len(curves)
 	negInf := math.Inf(-1)
@@ -101,7 +103,7 @@ func (MaxThroughput) AllocateIPC(curves [][]float64, ways int) Allocation {
 			}
 		}
 	}
-	alloc := make(Allocation, n)
+	alloc := make(cpapart.Allocation, n)
 	w := ways
 	for t := n; t >= 1; t-- {
 		a := choice[t][w]
@@ -122,7 +124,7 @@ func (FairSlowdown) Name() string { return "FairSlowdown" }
 // AllocateIPC performs the minimax optimization: binary search over the
 // achievable slowdown values, where feasibility at slowdown s means every
 // thread can reach IPC(full)/s with shares summing to at most `ways`.
-func (FairSlowdown) AllocateIPC(curves [][]float64, ways int) Allocation {
+func (FairSlowdown) AllocateIPC(curves [][]float64, ways int) cpapart.Allocation {
 	checkIPCInputs(curves, ways)
 	n := len(curves)
 	// minWays(i, s): smallest share giving thread i slowdown <= s.
@@ -161,9 +163,9 @@ func (FairSlowdown) AllocateIPC(curves [][]float64, ways int) Allocation {
 	if math.IsInf(best, 1) {
 		// No slowdown target is jointly reachable (degenerate curves):
 		// fall back to an even split.
-		return Fair{}.Allocate(uintCurves(n, ways), ways)
+		return cpapart.Fair{}.Allocate(uintCurves(n, ways), ways)
 	}
-	alloc := make(Allocation, n)
+	alloc := make(cpapart.Allocation, n)
 	used := 0
 	for i := 0; i < n; i++ {
 		alloc[i] = minWays(i, best)
@@ -199,14 +201,14 @@ type QoS struct {
 func (q QoS) Name() string { return "QoS" }
 
 // AllocateIPC reserves ways for thread 0 first.
-func (q QoS) AllocateIPC(curves [][]float64, ways int) Allocation {
+func (q QoS) AllocateIPC(curves [][]float64, ways int) cpapart.Allocation {
 	checkIPCInputs(curves, ways)
 	if q.MaxSlowdown < 1 {
-		panic("partition: QoS MaxSlowdown must be >= 1")
+		panic("core: QoS MaxSlowdown must be >= 1")
 	}
 	n := len(curves)
 	if n == 1 {
-		return Allocation{ways}
+		return cpapart.Allocation{ways}
 	}
 	target := curves[0][ways] / q.MaxSlowdown
 	reserve := ways - (n - 1) // leave one way for everyone else
@@ -223,7 +225,7 @@ func (q QoS) AllocateIPC(curves [][]float64, ways int) Allocation {
 		trimmed[i] = c[:left+1]
 	}
 	rest := MaxThroughput{}.AllocateIPC(trimmed, left)
-	alloc := make(Allocation, n)
+	alloc := make(cpapart.Allocation, n)
 	alloc[0] = got
 	copy(alloc[1:], rest)
 	return alloc
@@ -232,14 +234,14 @@ func (q QoS) AllocateIPC(curves [][]float64, ways int) Allocation {
 func checkIPCInputs(curves [][]float64, ways int) {
 	n := len(curves)
 	if n == 0 {
-		panic("partition: no threads")
+		panic("core: no threads")
 	}
 	if ways < n {
-		panic(fmt.Sprintf("partition: %d ways cannot give %d threads one each", ways, n))
+		panic(fmt.Sprintf("core: %d ways cannot give %d threads one each", ways, n))
 	}
 	for i, c := range curves {
 		if len(c) != ways+1 {
-			panic(fmt.Sprintf("partition: IPC curve %d has %d entries, want %d", i, len(c), ways+1))
+			panic(fmt.Sprintf("core: IPC curve %d has %d entries, want %d", i, len(c), ways+1))
 		}
 	}
 }

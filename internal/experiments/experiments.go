@@ -34,8 +34,8 @@ import (
 	"repro/internal/optref"
 	"repro/internal/power"
 	"repro/internal/profiling"
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // Options scale the experiments.
@@ -133,7 +133,7 @@ func (h *Harness) limitWorkloads(ws []workload.Workload) []workload.Workload {
 }
 
 // l2Config builds the shared L2 for a run.
-func (h *Harness) l2Config(kind replacement.Kind, cores, sizeKB int) cache.Config {
+func (h *Harness) l2Config(kind plru.Kind, cores, sizeKB int) cache.Config {
 	return cache.Config{
 		Name:      "L2",
 		SizeBytes: sizeKB * 1024,
@@ -150,7 +150,7 @@ func (h *Harness) l2Config(kind replacement.Kind, cores, sizeKB int) cache.Confi
 // non-partitioned). It doubles as the run-cache key.
 type RunSpec struct {
 	W       workload.Workload
-	Kind    replacement.Kind
+	Kind    plru.Kind
 	Acronym string
 	SizeKB  int
 }
@@ -167,13 +167,13 @@ func isoWorkload(bench string) workload.Workload {
 // isoSpec is the isolation-baseline run for a benchmark: alone on a full
 // sizeKB LRU L2 (the weighted-speedup denominator; DESIGN.md §4.7).
 func isoSpec(bench string, sizeKB int) RunSpec {
-	return RunSpec{W: isoWorkload(bench), Kind: replacement.LRU, SizeKB: sizeKB}
+	return RunSpec{W: isoWorkload(bench), Kind: plru.LRU, SizeKB: sizeKB}
 }
 
 // Run simulates the spec described by its arguments, memoizing the
 // result. Concurrent callers of the same configuration share a single
 // simulation (singleflight).
-func (h *Harness) Run(ctx context.Context, w workload.Workload, kind replacement.Kind, acronym string, sizeKB int) (cmp.Results, error) {
+func (h *Harness) Run(ctx context.Context, w workload.Workload, kind plru.Kind, acronym string, sizeKB int) (cmp.Results, error) {
 	return h.run(ctx, RunSpec{W: w, Kind: kind, Acronym: acronym, SizeKB: sizeKB})
 }
 
@@ -281,7 +281,7 @@ func (h *Harness) Summarize(ctx context.Context, w workload.Workload, res cmp.Re
 }
 
 // policyOf maps a CPA acronym to the L2 replacement policy it requires.
-func policyOf(acronym string) (replacement.Kind, error) {
+func policyOf(acronym string) (plru.Kind, error) {
 	cfg, err := core.ParseAcronym(acronym)
 	if err != nil {
 		return 0, err
@@ -290,7 +290,7 @@ func policyOf(acronym string) (replacement.Kind, error) {
 }
 
 // PowerInputs assembles the power-model inputs for a finished run.
-func (h *Harness) PowerInputs(w workload.Workload, res cmp.Results, kind replacement.Kind, partitioned bool, sizeKB int) power.Inputs {
+func (h *Harness) PowerInputs(w workload.Workload, res cmp.Results, kind plru.Kind, partitioned bool, sizeKB int) power.Inputs {
 	geom := complexity.Geometry{
 		SizeBytes: sizeKB * 1024,
 		LineBytes: 128,

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/replacement"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // tinyOptions keeps harness tests fast: short runs, few workloads.
@@ -27,11 +27,11 @@ func TestRunCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+	a, err := h.Run(ctx, w, plru.LRU, "", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+	b, err := h.Run(ctx, w, plru.LRU, "", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestSummarizeProducesSaneMetrics(t *testing.T) {
 	ctx := context.Background()
 	h := New(tinyOptions())
 	w, _ := workload.Lookup("2T_21") // crafty, eon: both compute bound
-	res, err := h.Run(ctx, w, replacement.LRU, "", 1024)
+	res, err := h.Run(ctx, w, plru.LRU, "", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFig6Shape(t *testing.T) {
 func TestFig6AdaptivePolicies(t *testing.T) {
 	ctx := context.Background()
 	h := New(tinyOptions())
-	pols := []replacement.Kind{replacement.LRU, replacement.AWRP, replacement.ARC}
+	pols := []plru.Kind{plru.LRU, plru.AWRP, plru.ARC}
 	d, err := h.Fig6(ctx, pols)
 	if err != nil {
 		t.Fatal(err)

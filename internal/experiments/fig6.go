@@ -6,9 +6,9 @@ import (
 	"strings"
 
 	"repro/internal/metrics"
-	"repro/internal/replacement"
 	"repro/internal/textplot"
 	"repro/internal/workload"
+	"repro/pkg/plru"
 )
 
 // Fig6Data holds Figure 6: non-partitioned LRU, NRU and BT relative to
@@ -16,7 +16,7 @@ import (
 // geometric means over the Table II workloads of per-workload ratios.
 type Fig6Data struct {
 	Cores    []int
-	Policies []replacement.Kind
+	Policies []plru.Kind
 	// Rel[metric][coreIdx][policyIdx]; metrics: 0 throughput, 1 harmonic
 	// mean, 2 weighted speedup. Harmonic mean and weighted speedup are
 	// only defined for >= 2 cores (as in the paper's Figure 6(b,c)).
@@ -27,10 +27,10 @@ type Fig6Data struct {
 var MetricNames = [3]string{"Throughput", "Harmonic mean", "Weighted speedup"}
 
 // Fig6 runs the Figure 6 experiment. Policies must include
-// replacement.LRU, which is the baseline.
-func (h *Harness) Fig6(ctx context.Context, policies []replacement.Kind) (*Fig6Data, error) {
+// plru.LRU, which is the baseline.
+func (h *Harness) Fig6(ctx context.Context, policies []plru.Kind) (*Fig6Data, error) {
 	if len(policies) == 0 {
-		policies = []replacement.Kind{replacement.LRU, replacement.NRU, replacement.BT}
+		policies = []plru.Kind{plru.LRU, plru.NRU, plru.BT}
 	}
 	data := &Fig6Data{Cores: []int{1, 2, 4, 8}, Policies: policies}
 	for m := range data.Rel {
@@ -87,7 +87,7 @@ func (h *Harness) Fig6(ctx context.Context, policies []replacement.Kind) (*Fig6D
 				if err != nil {
 					return nil, err
 				}
-				if pol == replacement.LRU {
+				if pol == plru.LRU {
 					base = sum
 				}
 				perPolicy[pi][wi] = sum

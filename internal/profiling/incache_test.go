@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/replacement"
 	"repro/internal/xrand"
+	"repro/pkg/plru"
 )
 
 func TestInCacheProfilerRecordsHitsAndMisses(t *testing.T) {
@@ -51,11 +51,11 @@ func TestInCacheProfilerHalve(t *testing.T) {
 func TestInCacheVsATDOnSingleThread(t *testing.T) {
 	const sets, ways = 32, 8
 	l2 := cache.New(cache.Config{Name: "L2", SizeBytes: sets * ways * 64,
-		LineBytes: 64, Ways: ways, Policy: replacement.LRU, Cores: 1})
+		LineBytes: 64, Ways: ways, Policy: plru.LRU, Cores: 1})
 	inCache := NewInCacheProfiler(1, ways)
 	l2.SetObserver(inCache)
 	atd := NewMonitor(Config{L2Sets: sets, Ways: ways, LineBytes: 64,
-		SampleRate: 1, Kind: replacement.LRU})
+		SampleRate: 1, Kind: plru.LRU})
 
 	rng := xrand.New(5)
 	for i := 0; i < 60000; i++ {
@@ -80,11 +80,11 @@ func TestInCacheVsATDOnSingleThread(t *testing.T) {
 func TestInCachePollutedBySharer(t *testing.T) {
 	const sets, ways = 32, 8
 	l2 := cache.New(cache.Config{Name: "L2", SizeBytes: sets * ways * 64,
-		LineBytes: 64, Ways: ways, Policy: replacement.LRU, Cores: 2})
+		LineBytes: 64, Ways: ways, Policy: plru.LRU, Cores: 2})
 	inCache := NewInCacheProfiler(2, ways)
 	l2.SetObserver(inCache)
 	atd := NewMonitor(Config{L2Sets: sets, Ways: ways, LineBytes: 64,
-		SampleRate: 1, Kind: replacement.LRU})
+		SampleRate: 1, Kind: plru.LRU})
 
 	rng := xrand.New(7)
 	stream := uint64(1 << 40)
@@ -113,10 +113,10 @@ func TestInCachePollutedBySharer(t *testing.T) {
 }
 
 func TestRequiresLRU(t *testing.T) {
-	if RequiresLRU(replacement.LRU) {
+	if RequiresLRU(plru.LRU) {
 		t.Error("LRU flagged as unsupported")
 	}
-	if !RequiresLRU(replacement.NRU) || !RequiresLRU(replacement.BT) {
+	if !RequiresLRU(plru.NRU) || !RequiresLRU(plru.BT) {
 		t.Error("non-LRU not flagged")
 	}
 }

@@ -4,19 +4,19 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/replacement"
+	"repro/pkg/plru"
 )
 
 // Config describes one per-thread profiling monitor. The geometry mirrors
 // the L2 it profiles; SampleRate applies the paper's set sampling (an L2
 // set s is profiled iff s % SampleRate == 0).
 type Config struct {
-	L2Sets     int              // number of sets in the profiled L2
-	Ways       int              // L2/ATD associativity
-	LineBytes  int              // line size (for address decomposition)
-	SampleRate int              // 1-in-N set sampling; 1 = full ATD; paper uses 32
-	Kind       replacement.Kind // LRU, NRU or BT profiling logic
-	NRUScale   float64          // S for the NRU estimator (paper: 1.0/0.75/0.5)
+	L2Sets     int       // number of sets in the profiled L2
+	Ways       int       // L2/ATD associativity
+	LineBytes  int       // line size (for address decomposition)
+	SampleRate int       // 1-in-N set sampling; 1 = full ATD; paper uses 32
+	Kind       plru.Kind // LRU, NRU or BT profiling logic
+	NRUScale   float64   // S for the NRU estimator (paper: 1.0/0.75/0.5)
 	// CountColdHits is an ablation beyond the paper: record NRU hits on
 	// used==0 lines at the maximum distance A instead of dropping them.
 	CountColdHits bool
@@ -34,10 +34,10 @@ func (c Config) Validate() error {
 	if c.SampleRate <= 0 {
 		return fmt.Errorf("profiling: sample rate must be positive")
 	}
-	if c.Kind == replacement.Random {
+	if c.Kind == plru.Random {
 		return fmt.Errorf("profiling: no profiling logic exists for Random replacement")
 	}
-	if c.Kind == replacement.NRU && (c.NRUScale <= 0 || c.NRUScale > 1) {
+	if c.Kind == plru.NRU && (c.NRUScale <= 0 || c.NRUScale > 1) {
 		return fmt.Errorf("profiling: NRU scale %v out of (0,1]", c.NRUScale)
 	}
 	return nil
@@ -58,11 +58,11 @@ func (c Config) StorageBits(tagBits int) int {
 	perLine := tagBits + 1 // tag + valid
 	perSet := 0
 	switch c.Kind {
-	case replacement.LRU:
+	case plru.LRU:
 		perLine += log2(c.Ways)
-	case replacement.NRU:
+	case plru.NRU:
 		perLine++ // used bit
-	case replacement.BT:
+	case plru.BT:
 		perSet = c.Ways - 1
 	}
 	return c.sampledSets() * (c.Ways*perLine + perSet)
@@ -87,9 +87,9 @@ type Monitor struct {
 	val  []bool
 
 	// Exactly one of the following is non-nil, matching cfg.Kind.
-	lru *replacement.LRUPolicy
-	nru *replacement.NRUPolicy
-	bt  *replacement.BTPolicy
+	lru *plru.LRUPolicy
+	nru *plru.NRUPolicy
+	bt  *plru.BTPolicy
 
 	observed uint64 // sampled accesses seen since construction
 }
@@ -108,12 +108,12 @@ func NewMonitor(cfg Config) *Monitor {
 		val:  make([]bool, n),
 	}
 	switch cfg.Kind {
-	case replacement.LRU:
-		m.lru = replacement.NewLRUPolicy(cfg.sampledSets(), cfg.Ways)
-	case replacement.NRU:
-		m.nru = replacement.NewNRUPolicy(cfg.sampledSets(), cfg.Ways, 1)
-	case replacement.BT:
-		m.bt = replacement.NewBTPolicy(cfg.sampledSets(), cfg.Ways)
+	case plru.LRU:
+		m.lru = plru.NewLRUPolicy(cfg.sampledSets(), cfg.Ways)
+	case plru.NRU:
+		m.nru = plru.NewNRUPolicy(cfg.sampledSets(), cfg.Ways, 1)
+	case plru.BT:
+		m.bt = plru.NewBTPolicy(cfg.sampledSets(), cfg.Ways)
 	}
 	return m
 }
@@ -208,7 +208,7 @@ func (m *Monitor) touch(set, way int) {
 }
 
 func (m *Monitor) victim(set int) int {
-	full := replacement.Full(m.cfg.Ways)
+	full := plru.Full(m.cfg.Ways)
 	switch {
 	case m.lru != nil:
 		return m.lru.Victim(set, 0, full)

@@ -1,14 +1,8 @@
-// Package replacement is a thin compatibility layer over the public policy
-// engine in repro/pkg/plru. The LRU/NRU/BT/Random implementations,
-// originally developed here for the paper reproduction, now live in
-// pkg/plru so external users can import them; every identifier in this
-// package is an alias or a one-line delegation, so there is exactly one
-// policy implementation in the module.
-//
-// Simulator-internal code keeps importing this package; new code (and
-// anything outside the module) should import repro/pkg/plru directly.
-// The golden-sequence test in this package pins the delegating engine to
-// the pre-refactor behavior step for step.
+// Package replacement keeps the few aliases of repro/pkg/plru that the
+// separate cpabench module still imports (cpabench/layers.go names
+// replacement.Kind, replacement.BT and replacement.NRU). Every other
+// caller imports repro/pkg/plru directly; new code must too. Delete this
+// package once the benchmark module is repointed.
 package replacement
 
 import "repro/pkg/plru"
@@ -16,80 +10,8 @@ import "repro/pkg/plru"
 // Kind identifies a replacement policy family. See plru.Kind.
 type Kind = plru.Kind
 
-// The replacement policy families used in the paper's evaluation, plus
-// the adaptive policies added on top of them.
+// The policy kinds cpabench/layers.go selects.
 const (
-	LRU    = plru.LRU    // true Least Recently Used
-	NRU    = plru.NRU    // Not Recently Used (used bit + global replacement pointer)
-	BT     = plru.BT     // Binary Tree pseudo-LRU
-	Random = plru.Random // uniform random victim (reference)
-	AWRP   = plru.AWRP   // Adaptive Weight Ranking (recency stamp + frequency weight)
-	ARC    = plru.ARC    // ARC-style two-tier recency/frequency with ghost history
+	NRU = plru.NRU // Not Recently Used (used bit + global replacement pointer)
+	BT  = plru.BT  // Binary Tree pseudo-LRU
 )
-
-// ParseKind converts a policy name ("LRU", "NRU", "BT", "Random",
-// "AWRP", "ARC", case-sensitive) into a Kind.
-func ParseKind(s string) (Kind, error) { return plru.ParseKind(s) }
-
-// Kinds returns every registered policy kind. See plru.Kinds.
-func Kinds() []Kind { return plru.Kinds() }
-
-// WayMask is a bitmask over cache ways. See plru.WayMask.
-type WayMask = plru.WayMask
-
-// MaxWays is the largest associativity a WayMask can describe.
-const MaxWays = plru.MaxWays
-
-// Full returns a mask with the low `ways` bits set.
-func Full(ways int) WayMask { return plru.Full(ways) }
-
-// Policy is the common behavior of a replacement policy instance covering
-// every set of one cache. See plru.Policy.
-type Policy = plru.Policy
-
-// LRUPolicy is the exact Least Recently Used policy. See plru.LRUPolicy.
-type LRUPolicy = plru.LRUPolicy
-
-// NRUPolicy is the UltraSPARC T2 Not Recently Used policy. See
-// plru.NRUPolicy.
-type NRUPolicy = plru.NRUPolicy
-
-// BTPolicy is the Binary Tree pseudo-LRU policy. See plru.BTPolicy.
-type BTPolicy = plru.BTPolicy
-
-// RandomPolicy is the uniform-random reference policy. See
-// plru.RandomPolicy.
-type RandomPolicy = plru.RandomPolicy
-
-// NewLRUPolicy returns an LRU policy for the given geometry.
-func NewLRUPolicy(sets, ways int) *LRUPolicy { return plru.NewLRUPolicy(sets, ways) }
-
-// NewNRUPolicy returns an NRU policy for the given geometry.
-func NewNRUPolicy(sets, ways, cores int) *NRUPolicy { return plru.NewNRUPolicy(sets, ways, cores) }
-
-// NewBTPolicy returns a BT policy; ways must be a power of two.
-func NewBTPolicy(sets, ways int) *BTPolicy { return plru.NewBTPolicy(sets, ways) }
-
-// NewRandomPolicy returns a Random policy seeded deterministically.
-func NewRandomPolicy(sets, ways int, seed uint64) *RandomPolicy {
-	return plru.NewRandomPolicy(sets, ways, seed)
-}
-
-// AWRPPolicy is the Adaptive Weight Ranking policy. See plru.AWRPPolicy.
-type AWRPPolicy = plru.AWRPPolicy
-
-// ARCPolicy is the ARC-inspired adaptive policy with ghost history. See
-// plru.ARCPolicy.
-type ARCPolicy = plru.ARCPolicy
-
-// NewAWRPPolicy returns an AWRP policy for the given geometry.
-func NewAWRPPolicy(sets, ways int) *AWRPPolicy { return plru.NewAWRPPolicy(sets, ways) }
-
-// NewARCPolicy returns an ARC policy for the given geometry.
-func NewARCPolicy(sets, ways int) *ARCPolicy { return plru.NewARCPolicy(sets, ways) }
-
-// New constructs a policy of the given kind for a cache with `sets` sets,
-// `ways` ways and `cores` sharer cores. The seed is used only by Random.
-func New(kind Kind, sets, ways, cores int, seed uint64) Policy {
-	return plru.New(kind, sets, ways, cores, seed)
-}

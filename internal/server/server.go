@@ -83,7 +83,7 @@ type Config struct {
 
 	// PolicyAutoSelect enables online per-tenant policy selection
 	// (cpacache.WithPolicyAutoSelect with the default candidate set):
-	// every candidate policy runs warm, a shadow directory scores them
+	// every candidate policy runs warm, the tag directory scores them
 	// on sampled sets, and tenants switch at rebalance boundaries. Pair
 	// it with AutoRebalance so switches actually happen. INFO reports
 	// each tenant's active policy either way.

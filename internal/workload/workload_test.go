@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/profiling"
-	"repro/internal/replacement"
 	"repro/internal/trace"
+	"repro/pkg/plru"
 )
 
 func TestCatalogComplete(t *testing.T) {
@@ -134,10 +134,10 @@ func l2Profile(t *testing.T, name string) (*profiling.Monitor, uint64) {
 	t.Helper()
 	g := trace.NewGenerator(MustGet(name), 0, Seed(name), 128)
 	l1 := cache.New(cache.Config{Name: "L1", SizeBytes: 32 * 1024,
-		LineBytes: 128, Ways: 2, Policy: replacement.LRU, Cores: 1})
+		LineBytes: 128, Ways: 2, Policy: plru.LRU, Cores: 1})
 	m := profiling.NewMonitor(profiling.Config{
 		L2Sets: 1024, Ways: 16, LineBytes: 128, SampleRate: 4,
-		Kind: replacement.LRU,
+		Kind: plru.LRU,
 	})
 	var mem uint64
 	for mem < 600000 {

@@ -15,27 +15,22 @@ package cpacache
 //     selected instance, so a policy switch is just an index store: no
 //     state rebuild, no cold start.
 //
-//   - shadowDir is a miniature auxiliary tag directory that scores the
-//     candidates. On every profiled lookup (the same sampled sets the
-//     UMON profiler uses), each candidate policy runs a private
-//     simulation at full associativity per tenant: an 8-bit signature
-//     probe against the candidate's own shadow residency, a Touch on a
-//     shadow hit, a Victim+Fill on a shadow miss. The per-candidate hit
-//     counters are the scores. Signature collisions (1/256 per way)
-//     inflate every candidate's counter identically — the probes see the
-//     same stream — so the ranking is unbiased.
+//   - The shard's auxiliary tag directory (atd.go) scores them. It runs
+//     one instance of every candidate over its shadow sets, so on every
+//     profiled lookup each candidate simulates the tenant's stream at
+//     full associativity: a Touch on a shadow hit, a Victim+Fill on a
+//     shadow miss. The per-candidate window hits are the scores.
 //
 // Decisions happen at rebalance boundaries, under quotaMu, with the
 // same hysteresis knobs quota changes use (WithRebalanceHysteresis): a
 // tenant switches only when its window holds at least minSamples
-// profiled accesses and the best candidate's shadow hits beat the
+// profiled accesses and the best candidate's ATD hits beat the
 // current policy's by more than the hysteresis fraction. Switches are
 // reported through MetricsSink.PolicySwitch and visible in
 // Snapshot.Policies.
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/pkg/plru"
 )
@@ -126,118 +121,33 @@ func (sh *shard[K, V]) polSetPartition(masks []plru.WayMask) {
 	sh.pol.setPartition(masks)
 }
 
-// shadowDir scores the candidate policies on one shard's profiled
-// lookup stream. Each candidate k owns a private tag directory of
-// sampledSets × tenants shadow sets, ways entries each: shadow set
-// (slot, tenant) simulates tenant's workload at full associativity
-// under policy k, independent of every other tenant and of the real
-// cache contents. All state lives under the shard mutex; access() is
-// allocation-free.
-type shadowDir struct {
-	ways    int
-	tenants int
-	pols    []policyRef // parallel to Cache.activeKinds
-	tags    [][]uint8   // per candidate: sampledSets*tenants*ways signature bytes
-	valid   [][]uint64  // per candidate: residency mask per shadow set
-	hits    [][]uint64  // per candidate: per-tenant shadow hits this window
-	acc     []uint64    // per-tenant profiled accesses this window
-}
-
-func newShadowDir(kinds []plru.Kind, sampledSets, tenants, ways int, seed uint64) *shadowDir {
-	sd := &shadowDir{
-		ways:    ways,
-		tenants: tenants,
-		pols:    make([]policyRef, len(kinds)),
-		tags:    make([][]uint8, len(kinds)),
-		valid:   make([][]uint64, len(kinds)),
-		hits:    make([][]uint64, len(kinds)),
-		acc:     make([]uint64, tenants),
-	}
-	shadowSets := sampledSets * tenants
-	for i, k := range kinds {
-		sd.pols[i] = newPolicyRef(k, shadowSets, ways, tenants, seed+uint64(i)<<24)
-		sd.tags[i] = make([]uint8, shadowSets*ways)
-		sd.valid[i] = make([]uint64, shadowSets)
-		sd.hits[i] = make([]uint64, tenants)
-	}
-	return sd
-}
-
-// access runs one profiled lookup through every candidate's shadow
-// directory: probe by signature, Touch on a hit, Victim+Fill on a miss
-// (free ways first). slot is the sampled-set ordinal from the profiler.
-// Caller holds the shard mutex.
-func (sd *shadowDir) access(slot, tenant int, sig uint8) {
-	ss := slot*sd.tenants + tenant
-	base := ss * sd.ways
-	full := plru.Full(sd.ways)
-	sd.acc[tenant]++
-	for k := range sd.pols {
-		tags := sd.tags[k]
-		vm := sd.valid[k][ss]
-		way := -1
-		for m := vm; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			if tags[base+w] == sig {
-				way = w
-				break
-			}
-		}
-		if way >= 0 {
-			sd.hits[k][tenant]++
-			sd.pols[k].touch(ss, way, tenant)
-			continue
-		}
-		if free := uint64(full) &^ vm; free != 0 {
-			way = bits.TrailingZeros64(free)
-		} else {
-			way = sd.pols[k].victim(ss, tenant, full)
-		}
-		tags[base+way] = sig
-		sd.valid[k][ss] = vm | 1<<uint(way)
-		sd.pols[k].fill(ss, way, tenant, sig)
-	}
-}
-
-// resetWindow clears the window counters. Shadow residency is kept —
-// the simulations stay warm across windows, like the real cache.
-func (sd *shadowDir) resetWindow() {
-	for k := range sd.hits {
-		clear(sd.hits[k])
-	}
-	clear(sd.acc)
-}
-
 // selectPoliciesLocked is the rebalance-boundary policy decision:
-// aggregate every shard's shadow scores, pick each tenant's best
+// aggregate every shard's ATD scores, pick each tenant's best
 // candidate under the hysteresis rule, and install the new routing on
 // every shard. Returns one event per switch (usually none). Caller
 // holds quotaMu; shard locks are taken one at a time, in the same
-// order setQuotasLocked takes them.
+// order setQuotasLocked takes them. A tenant's window accesses are
+// c.ctlCurves[t][0], which the caller has just gathered.
 func (c *Cache[K, V]) selectPoliciesLocked() []PolicySwitchEvent {
-	hits := c.ctlShadowHits
-	acc := c.ctlShadowAcc
+	hits := c.ctlScores
 	for k := range hits {
 		clear(hits[k])
 	}
-	clear(acc)
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
 		for k := range hits {
-			for t, h := range sh.shadow.hits[k] {
+			for t, h := range sh.atd.hits[k] {
 				hits[k][t] += h
 			}
-		}
-		for t, a := range sh.shadow.acc {
-			acc[t] += a
 		}
 		sh.mu.Unlock()
 	}
 	var events []PolicySwitchEvent
 	changed := false
 	for t := 0; t < c.tenants; t++ {
-		if acc[t] < c.minSamples {
+		acc := c.ctlCurves[t][0]
+		if acc < c.minSamples {
 			continue
 		}
 		cur := c.polByTenant[t]
@@ -261,7 +171,7 @@ func (c *Cache[K, V]) selectPoliciesLocked() []PolicySwitchEvent {
 			Tenant:         t,
 			From:           c.activeKinds[cur],
 			To:             c.activeKinds[best],
-			WindowAccesses: acc[t],
+			WindowAccesses: acc,
 			Candidates:     append([]plru.Kind(nil), c.activeKinds...),
 			ShadowHits:     make([]uint64, len(hits)),
 		}

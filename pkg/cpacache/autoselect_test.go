@@ -19,8 +19,8 @@ func scanKey(next func() uint64, hot []uint64, scanCtr *uint64) uint64 {
 	return 1<<32 + *scanCtr
 }
 
-// access drives one get-miss-then-set step, the flow the profiler (and
-// therefore the shadow scorer) counts exactly once.
+// access drives one get-miss-then-set step, the flow the tag directory
+// (and therefore the candidate scoring) counts exactly once.
 func access(c *Cache[uint64, uint64], key uint64) {
 	if _, ok := c.Get(key); !ok {
 		c.Set(key, key)

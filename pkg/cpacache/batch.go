@@ -108,9 +108,8 @@ func (c *Cache[K, V]) groupByShard(s *batchScratch[K, V], keys []K) {
 // updates and profiling are identical to per-key GetTenant calls. When
 // the lock-free read path is active each key takes the same optimistic
 // probe GetTenant uses (there is no lock left to amortize); otherwise —
-// pointerful key/value types, race builds, WithImmediateRecency — the
-// keys are grouped by shard and each shard's lock is taken once for its
-// whole group.
+// pointerful key/value types, race builds — the keys are grouped by
+// shard and each shard's lock is taken once for its whole group.
 func (c *Cache[K, V]) GetBatch(tenant int, keys []K, vals []V, oks []bool) int {
 	c.checkTenant(tenant)
 	if len(vals) < len(keys) || len(oks) < len(keys) {
@@ -130,7 +129,7 @@ func (c *Cache[K, V]) GetBatch(tenant int, keys []K, vals []V, oks []bool) int {
 			tag := tagOf(h)
 			var v V
 			var ok, done bool
-			if !sh.prof.isSampled(set) {
+			if !sh.atd.isSampled(set) {
 				v, ok, done = c.getNoLock(sh, set, tenant, tag, k)
 			}
 			if !done {
@@ -162,9 +161,7 @@ func (c *Cache[K, V]) GetBatch(tenant int, keys []K, vals []V, oks []bool) int {
 			tag := tagOf(s.hash[i])
 			base := set * c.ways
 			tbase := c.tagBase(set)
-			if sh.prof.isSampled(set) {
-				sh.prof.record(set, tenant, s.hash[i])
-			}
+			sh.atd.access(set, tenant, s.hash[i])
 			// Probe inlined (as in getLocked) to keep the per-key loop
 			// free of call overhead.
 			way := -1

@@ -108,7 +108,7 @@ func BenchmarkParallelGetHit(b *testing.B) {
 }
 
 // BenchmarkGetHitAdaptive is BenchmarkGetHit with policy auto-selection
-// on: the warm lookup pays the shadow-directory probe only on sampled
+// on: the warm lookup pays the tag-directory probe only on sampled
 // sets (1 in 16 by default); the rest of the overhead is the deferred
 // fan-out when writers drain the touch ring.
 func BenchmarkGetHitAdaptive(b *testing.B) {

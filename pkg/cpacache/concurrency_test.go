@@ -89,8 +89,8 @@ func TestSeqlockTornReadStress(t *testing.T) {
 }
 
 // TestSeqlockFallbacks pins the conditions that must route a lookup to
-// the locked path: pointerful key or value types never set lockFree, and
-// WithImmediateRecency disables the whole deferred plane.
+// the locked path: pointerful key or value types never set lockFree,
+// while recency stays deferred through the touch ring for every type.
 func TestSeqlockFallbacks(t *testing.T) {
 	ptr, err := New[string, int]()
 	if err != nil {
@@ -99,8 +99,8 @@ func TestSeqlockFallbacks(t *testing.T) {
 	if ptr.lockFree {
 		t.Fatal("string-keyed cache enabled the lock-free read path")
 	}
-	if !ptr.deferred {
-		t.Fatal("pointerful cache should still defer recency by default")
+	if ptr.shards[0].touchRing == nil {
+		t.Fatal("pointerful cache should still defer recency through the touch ring")
 	}
 	type flat struct{ A, B uint64 }
 	flatC, err := New[flat, [3]int32]()
@@ -109,16 +109,6 @@ func TestSeqlockFallbacks(t *testing.T) {
 	}
 	if flatC.lockFree != !raceEnabled {
 		t.Fatalf("pointer-free struct cache lockFree = %v, want %v", flatC.lockFree, !raceEnabled)
-	}
-	imm, err := New[uint64, uint64](WithImmediateRecency())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if imm.lockFree || imm.deferred {
-		t.Fatal("WithImmediateRecency left the optimistic plane enabled")
-	}
-	if imm.shards[0].touchRing != nil {
-		t.Fatal("immediate-recency cache allocated a touch ring")
 	}
 }
 
@@ -138,74 +128,14 @@ func TestTouchBufferValidation(t *testing.T) {
 	}
 }
 
-// TestDeferredMatchesImmediateExactly pins the drain-order property the
-// deferred plane is built on: in a single-threaded execution whose touch
-// ring never overflows, the deferred configuration produces bit-for-bit
-// the same eviction stream, stats and contents as WithImmediateRecency.
-func TestDeferredMatchesImmediateExactly(t *testing.T) {
-	run := func(opts ...Option) (*Cache[uint64, uint64], *[]uint64) {
-		var evicted []uint64
-		c, err := New[uint64, uint64](append([]Option{
-			WithShards(2), WithSets(8), WithWays(8),
-			WithPolicy(plru.LRU), WithPartitions(2), WithSeed(42),
-			WithOnEvict(func(k, v uint64) { evicted = append(evicted, k) }),
-		}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c, &evicted
-	}
-	def, defEv := run()
-	imm, immEv := run(WithImmediateRecency())
-	imm.seed = def.seed // identical placement (white box)
-
-	rng := uint64(12345)
-	next := func() uint64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return rng
-	}
-	for i := 0; i < 50_000; i++ {
-		op, tenant, key := next()%10, int(next()%2), next()%256
-		switch {
-		case op < 6:
-			v1, ok1 := def.GetTenant(tenant, key)
-			v2, ok2 := imm.GetTenant(tenant, key)
-			if ok1 != ok2 || v1 != v2 {
-				t.Fatalf("step %d: deferred Get=(%d,%v) immediate Get=(%d,%v)", i, v1, ok1, v2, ok2)
-			}
-		case op < 9:
-			def.SetTenant(tenant, key, key*7)
-			imm.SetTenant(tenant, key, key*7)
-		default:
-			if d, m := def.Delete(key), imm.Delete(key); d != m {
-				t.Fatalf("step %d: deferred Delete=%v immediate Delete=%v", i, d, m)
-			}
-		}
-	}
-	if len(*defEv) != len(*immEv) {
-		t.Fatalf("eviction streams differ in length: deferred %d vs immediate %d", len(*defEv), len(*immEv))
-	}
-	for i := range *defEv {
-		if (*defEv)[i] != (*immEv)[i] {
-			t.Fatalf("eviction %d: deferred key %d vs immediate key %d", i, (*defEv)[i], (*immEv)[i])
-		}
-	}
-	s1, s2 := def.Stats(), imm.Stats()
-	for tn := range s1 {
-		if s1[tn] != s2[tn] {
-			t.Fatalf("tenant %d stats: deferred %+v vs immediate %+v", tn, s1[tn], s2[tn])
-		}
-	}
-}
-
 // TestDeferredDivergenceBounded is the lossy regime: a deliberately tiny
 // touch ring (8 records) under a read-heavy loop drops most recency
 // updates, which is exactly what the deferred design claims pseudo-LRU
-// tolerates. The hit counts of the deferred and immediate configurations
-// over the same single-threaded workload must stay within a few percent
-// of each other — recency loss may shuffle evictions, not correctness.
+// tolerates. The hit counts of the lossy ring and of an exact one (a
+// ring large enough never to overflow here, which applies every touch in
+// order) over the same single-threaded workload must stay within a few
+// percent of each other — recency loss may shuffle evictions, not
+// correctness.
 func TestDeferredDivergenceBounded(t *testing.T) {
 	for _, pol := range []plru.Kind{plru.BT, plru.LRU, plru.NRU} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -241,13 +171,13 @@ func TestDeferredDivergenceBounded(t *testing.T) {
 				return st[0].Hits
 			}
 			lossy := run(WithTouchBuffer(8))
-			exact := run(WithImmediateRecency())
+			exact := run(WithTouchBuffer(1 << 18))
 			lo, hi := lossy, exact
 			if lo > hi {
 				lo, hi = hi, lo
 			}
 			if float64(hi-lo) > 0.10*float64(hi) {
-				t.Fatalf("hit counts diverged beyond 10%%: lossy-deferred %d vs immediate %d", lossy, exact)
+				t.Fatalf("hit counts diverged beyond 10%%: lossy ring %d vs exact ring %d", lossy, exact)
 			}
 		})
 	}

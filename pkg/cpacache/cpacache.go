@@ -22,7 +22,9 @@
 // SetQuotas, or rebalanced online from the observed per-tenant hit curves
 // with Rebalance, which runs the paper's partitioning algorithms (exact
 // MinMisses, or the binary-buddy variant under BT) from repro/pkg/cpapart
-// over stack-distance profiles sampled UMON-style on a subset of sets.
+// over stack-distance profiles. Each shard collects them in one auxiliary
+// tag directory over a sampled subset of sets, as the paper does (atd.go);
+// the same directory scores the candidates of WithPolicyAutoSelect.
 //
 // All methods are safe for concurrent use and the per-operation hot
 // paths perform no heap allocation. Set probes resolve through a packed
@@ -38,16 +40,14 @@
 // and SetBatch amortize per-key overheads, TTL expiry is driven by a
 // hierarchical timing wheel that visits only due entries (lifecycle.go),
 // and Rebalance reuses control-plane scratch so steady-state
-// repartitioning stays allocation-free. WithImmediateRecency restores
-// the fully locked, touch-on-hit data plane when exact eviction-order
-// reproducibility matters more than read scalability.
+// repartitioning stays allocation-free.
 //
 // Key ownership: only writes (SetTenant, SetTenantTTL, SetBatch) store
 // the key they are given. Lookups and key-addressed updates — GetTenant,
 // GetBatch, Delete, TTL, SetTTL — compare and hash the key but never
-// retain it past the call (the profiler keeps key hashes, not keys), so
-// a caller may pass a key that aliases a buffer it reuses afterwards,
-// such as a string view of a network read buffer.
+// retain it past the call (the profiling directory keeps key hashes, not
+// keys), so a caller may pass a key that aliases a buffer it reuses
+// afterwards, such as a string view of a network read buffer.
 package cpacache
 
 import (
@@ -80,11 +80,8 @@ type Cache[K comparable, V any] struct {
 	tagWords  int    // packed tag words per set
 	setStride int    // words per set in shard.tags: 1 sequence word + tagWords
 
-	// deferred is false only under WithImmediateRecency: hits then call
-	// Touch under the shard lock instead of queueing on the touch ring.
-	// lockFree additionally requires pointer-free K and V and a non-race
-	// build; it routes unprofiled lookups through the seqlock path.
-	deferred bool
+	// lockFree requires pointer-free K and V and a non-race build; it
+	// routes unprofiled lookups through the seqlock path.
 	lockFree bool
 
 	// batchPool recycles the per-call scratch of GetBatch/SetBatch so
@@ -150,12 +147,11 @@ type Cache[K comparable, V any] struct {
 	// Policy auto-selection (autoselect.go). activeKinds is nil unless
 	// WithPolicyAutoSelect was given; polByTenant[t] indexes activeKinds
 	// and is guarded by quotaMu (the per-shard routing copies live in
-	// shard.multi.byTenant). The ctlShadow* slices are decision scratch.
-	activeKinds   []plru.Kind
-	polByTenant   []int
-	ctlShadowHits [][]uint64
-	ctlShadowAcc  []uint64
-	nPolSwitch    atomic.Uint64
+	// shard.multi.byTenant). ctlScores is decision scratch.
+	activeKinds []plru.Kind
+	polByTenant []int
+	ctlScores   [][]uint64
+	nPolSwitch  atomic.Uint64
 
 	// Memory governor (governor.go). gaugeTenant/gaugeTotal are atomic
 	// mirrors of the per-shard TenantStats.Bytes parts, updated under the
@@ -180,27 +176,26 @@ type Cache[K comparable, V any] struct {
 }
 
 // shard is one independently locked slice of the cache: sets×ways slots
-// plus its own policy instance, touch ring, TTL wheel and UMON-style
-// profiler. The slices read by the lock-free lookup (tags, keys, vals,
+// plus its own policy instance, touch ring, TTL wheel and auxiliary tag
+// directory. The slices read by the lock-free lookup (tags, keys, vals,
 // ttl, deadline) are allocated before the cache is visible and never
 // reallocated, so a reader can never observe a torn slice header.
 type shard[K comparable, V any] struct {
 	mu sync.Mutex
 	// pol is the shard's policy instance; under WithPolicyAutoSelect it
 	// aliases the base-kind instance in multi and the data plane routes
-	// through the pol* methods (autoselect.go) instead. shadow is the
-	// candidate-scoring directory, nil unless auto-selection is on.
-	pol    policyRef
-	multi  *multiPol
-	shadow *shadowDir
-	tags   []uint64 // setStride words per set: sequence word + packed tag bytes (tags.go)
-	keys   []K
-	vals   []V
-	owner  []int16 // tenant that filled the slot, -1 when empty
-	masks  []plru.WayMask
-	live   atomic.Int64 // written under mu, read lock-free by Len
-	stats  []TenantStats
-	prof   profiler
+	// through the pol* methods (autoselect.go) instead. atd is the
+	// profiling directory (atd.go).
+	pol   policyRef
+	multi *multiPol
+	atd   atd
+	tags  []uint64 // setStride words per set: sequence word + packed tag bytes (tags.go)
+	keys  []K
+	vals  []V
+	owner []int16 // tenant that filled the slot, -1 when empty
+	masks []plru.WayMask
+	live  atomic.Int64 // written under mu, read lock-free by Len
+	stats []TenantStats
 
 	// hm is the striped hit/miss plane: one cache-line-padded cell per
 	// tenant, bumped with plain increments by every lookup path and
@@ -215,7 +210,7 @@ type shard[K comparable, V any] struct {
 	// Deferred recency (ring.go): touchRing/touchHead are the lock-free
 	// producer side (slot words are plain — see ring.go for why that is
 	// safe); touchDrained and touchScratch belong to the drainer, under
-	// mu. touchRing is nil under WithImmediateRecency.
+	// mu.
 	touchRing    []uint64
 	touchMask    uint64
 	touchHead    uint64
@@ -361,7 +356,6 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		waysMask:      uint64(plru.Full(s.ways)),
 		tagWords:      tagWordsFor(s.ways),
 		setStride:     setStrideFor(s.ways),
-		deferred:      !s.immediate,
 		quotas:        evenQuotas(s.tenants, s.ways),
 		ttlDefault:    int64(s.defaultTTL),
 		stop:          make(chan struct{}),
@@ -397,7 +391,7 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 	// the sequence check for validation; that is only crash- and GC-safe
 	// when neither type contains pointers (see lockfree.go). Race builds
 	// keep the locked path so the detector never sees the benign races.
-	c.lockFree = c.deferred && !raceEnabled &&
+	c.lockFree = !raceEnabled &&
 		pointerFree(reflect.TypeFor[K]()) && pointerFree(reflect.TypeFor[V]())
 	if s.nowFn != nil {
 		c.nowFn = s.nowFn
@@ -426,11 +420,10 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		for t := range c.polByTenant {
 			c.polByTenant[t] = baseIdx
 		}
-		c.ctlShadowHits = make([][]uint64, len(c.activeKinds))
-		for k := range c.ctlShadowHits {
-			c.ctlShadowHits[k] = make([]uint64, s.tenants)
+		c.ctlScores = make([][]uint64, len(c.activeKinds))
+		for k := range c.ctlScores {
+			c.ctlScores[k] = make([]uint64, s.tenants)
 		}
-		c.ctlShadowAcc = make([]uint64, s.tenants)
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -445,11 +438,9 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		sh.masks = make([]plru.WayMask, s.tenants)
 		sh.stats = make([]TenantStats, s.tenants)
 		sh.hm = make([]hmCell, s.tenants)
-		if c.deferred {
-			sh.touchRing = make([]uint64, s.touchBuffer)
-			sh.touchMask = uint64(s.touchBuffer - 1)
-			sh.touchScratch = make([]plru.TouchRec, 0, s.touchBuffer)
-		}
+		sh.touchRing = make([]uint64, s.touchBuffer)
+		sh.touchMask = uint64(s.touchBuffer - 1)
+		sh.touchScratch = make([]plru.TouchRec, 0, s.touchBuffer)
 		// One TTL word per set is always present (the hot path tests it
 		// unconditionally); the sets×ways deadline array and the timing
 		// wheel are allocated lazily by armTTL, so TTL-free caches never
@@ -458,12 +449,11 @@ func New[K comparable, V any](opts ...Option) (*Cache[K, V], error) {
 		if costFn != nil {
 			sh.cost = make([]uint64, s.sets*s.ways)
 		}
-		sh.prof.init(s.sets, s.ways, s.tenants, s.sampleEvery)
+		sh.atd = newATD(c.activeKinds, s.sets, s.ways, s.tenants, s.sampleEvery, s.seed+uint64(i))
 		if s.autoselect {
 			baseIdx := c.polByTenant[0]
 			sh.multi = newMultiPol(c.activeKinds, baseIdx, s.sets, s.ways, s.tenants, s.seed+uint64(i))
 			sh.pol = sh.multi.pols[baseIdx]
-			sh.shadow = newShadowDir(c.activeKinds, sh.prof.sampledCount, s.tenants, s.ways, s.seed+uint64(i))
 		}
 	}
 	if err := c.SetQuotas(c.quotas); err != nil {
@@ -553,15 +543,15 @@ func (c *Cache[K, V]) Set(key K, value V) error { return c.SetTenant(0, key, val
 // validated by the set's sequence word and the recency update is
 // deferred through the shard's touch ring (drained by the next writer).
 // Lookups that land on a profiled set, race a writer past the retry
-// budget, or find a lapsed TTL fall back to the shard mutex; under
-// WithImmediateRecency every lookup takes it.
+// budget, or find a lapsed TTL fall back to the shard mutex, as do all
+// lookups of pointerful types.
 func (c *Cache[K, V]) GetTenant(tenant int, key K) (V, bool) {
 	c.checkTenant(tenant)
 	h := maphash.Comparable(c.seed, key)
 	sh := &c.shards[h&c.shardMask]
 	set := c.setOf(h)
 	tag := tagOf(h)
-	if c.lockFree && !sh.prof.isSampled(set) {
+	if c.lockFree && !sh.atd.isSampled(set) {
 		if v, ok, done := c.getNoLock(sh, set, tenant, tag, key); done {
 			return v, ok
 		}
@@ -578,12 +568,7 @@ func (c *Cache[K, V]) getLocked(sh *shard[K, V], h uint64, set, tenant int, tag 
 	tbase := c.tagBase(set)
 
 	sh.mu.Lock()
-	if sh.prof.isSampled(set) {
-		sh.prof.record(set, tenant, h)
-		if sh.shadow != nil {
-			sh.shadow.access(int(sh.prof.slot[set]), tenant, tag)
-		}
-	}
+	sh.atd.access(set, tenant, h)
 	// Probe is inlined here (not findLocked) to keep the path free of
 	// call overhead: one SWAR match per tag word, then key-confirm. The
 	// TTL test costs one word load when the slot carries no deadline; the
@@ -1005,7 +990,9 @@ func allPowersOfTwo(qs []int) bool {
 // The profile is fed by lookup traffic (GetTenant/Get); the usual
 // Get-miss-then-Set flow is therefore counted exactly once per access.
 // The curves are in sampled units — comparable across tenants, which is
-// all the cpapart allocators need.
+// all the cpapart allocators need. The profiling directory keeps its
+// residency across windows, so a key still resident from an earlier
+// window counts at its stack distance, not as a cold miss.
 func (c *Cache[K, V]) MissCurves() [][]uint64 {
 	curves := make([][]uint64, c.tenants)
 	for t := range curves {
@@ -1034,7 +1021,7 @@ func (c *Cache[K, V]) missCurvesInto(curves [][]uint64, try bool) bool {
 			sh.mu.Lock()
 		}
 		c.drainTouches(sh)
-		sh.prof.addCurves(curves)
+		sh.atd.addCurves(curves)
 		sh.mu.Unlock()
 	}
 	return true
@@ -1131,9 +1118,9 @@ func (c *Cache[K, V]) rebalance(auto bool) ([]int, bool, error) {
 		}
 	}
 	// Policy auto-selection rides the same window boundary: score the
-	// candidates on the shadow hits the closing window accumulated, then
-	// reset the window alongside the profile. The gather must precede
-	// the reset, so it cannot share the loop below.
+	// candidates on the ATD hits the closing window accumulated, then
+	// reset the window. The gather must precede the reset, so it cannot
+	// share the loop below.
 	var switches []PolicySwitchEvent
 	if c.activeKinds != nil && (apply || evaluated) {
 		switches = c.selectPoliciesLocked()
@@ -1143,10 +1130,7 @@ func (c *Cache[K, V]) rebalance(auto bool) ([]int, bool, error) {
 		for i := range c.shards {
 			sh := &c.shards[i]
 			sh.mu.Lock()
-			sh.prof.reset()
-			if sh.shadow != nil {
-				sh.shadow.resetWindow()
-			}
+			sh.atd.resetWindow()
 			sh.mu.Unlock()
 		}
 	}

@@ -3,6 +3,7 @@ package cpacache
 import (
 	"fmt"
 	"hash/maphash"
+	"strconv"
 	"testing"
 	"time"
 
@@ -353,18 +354,19 @@ func randomQuotas(rng *uint64, tenants, ways int) []int {
 	return q
 }
 
-// recencyModes parametrizes differential runs over both data planes: the
-// default deferred/optimistic one (whose drain-order rule makes single-
-// threaded executions exactly equivalent as long as the touch ring never
-// overflows — the model is the proof) and the fully locked
-// WithImmediateRecency configuration, which is the issue's
-// "immediate-drain" eviction-stream-equivalence requirement.
+// recencyModes parametrizes differential runs over both lookup planes:
+// the default deferred/optimistic one (whose drain-order rule makes
+// single-threaded executions exactly equivalent as long as the touch ring
+// never overflows — the model is the proof) and the locked one with
+// immediate recency. Profiling every set sends every lookup to the
+// locked path, which finds the touch ring empty and applies each hit's
+// Touch on the spot; it also runs the tag directory on every access.
 var recencyModes = []struct {
 	name string
 	opts []Option
 }{
 	{"deferred", nil},
-	{"immediate", []Option{WithImmediateRecency()}},
+	{"immediate", []Option{WithProfileSampling(1)}},
 }
 
 // TestDifferentialAgainstLinearModel drives identical random workloads
@@ -619,20 +621,29 @@ func TestDifferentialTTLAndCost(t *testing.T) {
 // cache and per-key APIs on another sharing the same hash seed; the final
 // contents, stats and per-key results must match (batching only changes
 // cross-shard interleaving, which is semantically inert). Every policy
-// kind runs in both recency configurations: the default exercises the
-// lock-free per-key GetBatch, the immediate one the shard-grouped
+// kind runs in both recency configurations of uint64 keys, which take the
+// per-key GetBatch, and with string keys, which take the shard-grouped
 // single-lock walk.
 func TestDifferentialBatchOps(t *testing.T) {
 	for _, mode := range recencyModes {
 		for _, pol := range diffBatchKinds {
-			t.Run(mode.name+"/"+pol.String(), func(t *testing.T) { diffBatchOps(t, pol, mode.opts...) })
+			t.Run(mode.name+"/"+pol.String(), func(t *testing.T) {
+				diffBatchOps(t, pol, func(k uint64) uint64 { return k }, mode.opts...)
+			})
 		}
+	}
+	for _, pol := range diffBatchKinds {
+		t.Run("grouped/"+pol.String(), func(t *testing.T) {
+			diffBatchOps(t, pol, func(k uint64) string { return strconv.FormatUint(k, 10) })
+		})
 	}
 }
 
-func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
-	build := func() *Cache[uint64, uint64] {
-		c, err := New[uint64, uint64](append([]Option{
+// diffBatchOps runs the batch-versus-per-key replay on caches keyed by
+// key(n) for the workload's integer keys n.
+func diffBatchOps[K comparable](t *testing.T, pol plru.Kind, key func(uint64) K, modeOpts ...Option) {
+	build := func() *Cache[K, uint64] {
+		c, err := New[K, uint64](append([]Option{
 			WithShards(4), WithSets(8), WithWays(8),
 			WithPolicy(pol), WithPartitions(2), WithSeed(5),
 		}, modeOpts...)...)
@@ -646,7 +657,7 @@ func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
 	c2.seed = c1.seed // same key placement (white box)
 
 	const batch = 33 // deliberately not a multiple of anything
-	keys := make([]uint64, batch)
+	keys := make([]K, batch)
 	vals := make([]uint64, batch)
 	gvals := make([]uint64, batch)
 	oks := make([]bool, batch)
@@ -661,8 +672,9 @@ func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
 	for round := 0; round < 400; round++ {
 		tenant := int(next() % 2)
 		for i := range keys {
-			keys[i] = next() % 1024
-			vals[i] = keys[i] * 7
+			n := next() % 1024
+			keys[i] = key(n)
+			vals[i] = n * 7
 		}
 		if next()%2 == 0 {
 			c1.SetBatch(tenant, keys, vals)
@@ -674,7 +686,7 @@ func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
 			for i := range keys {
 				v, ok := c2.GetTenant(tenant, keys[i])
 				if ok != oks[i] || v != gvals[i] {
-					t.Fatalf("round %d key %d: batch (%d,%v) vs sequential (%d,%v)",
+					t.Fatalf("round %d key %v: batch (%d,%v) vs sequential (%d,%v)",
 						round, keys[i], gvals[i], oks[i], v, ok)
 				}
 			}
@@ -689,11 +701,11 @@ func diffBatchOps(t *testing.T, pol plru.Kind, modeOpts ...Option) {
 	if c1.Len() != c2.Len() {
 		t.Fatalf("Len: batch %d vs sequential %d", c1.Len(), c2.Len())
 	}
-	for k := uint64(0); k < 1024; k++ {
-		v1, ok1 := c1.Get(k)
-		v2, ok2 := c2.Get(k)
+	for n := uint64(0); n < 1024; n++ {
+		v1, ok1 := c1.Get(key(n))
+		v2, ok2 := c2.Get(key(n))
 		if ok1 != ok2 || v1 != v2 {
-			t.Fatalf("final content diverges at key %d: (%d,%v) vs (%d,%v)", k, v1, ok1, v2, ok2)
+			t.Fatalf("final content diverges at key %d: (%d,%v) vs (%d,%v)", n, v1, ok1, v2, ok2)
 		}
 	}
 }

@@ -40,9 +40,9 @@ import (
 //     discard-on-retry loads are real data races under the strict memory
 //     model, and the detector would rightly report them.
 //
-// Hits on this path do not touch the policy or the profiler: recency is
+// Hits on this path do not touch the policy or the tag directory: recency is
 // deferred through the shard's touch ring (ring.go) and profiled sets
-// (prof.isSampled) are routed to the locked path by the caller, so the
+// (atd.isSampled) are routed to the locked path by the caller, so the
 // miss curves driving Rebalance see exactly the traffic they always did.
 
 // lockFreeRetries is how many times a reader retries a moved sequence

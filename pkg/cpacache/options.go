@@ -31,7 +31,6 @@ type settings struct {
 	hysteresis    float64
 	minSamples    uint64
 
-	immediate   bool
 	touchBuffer int
 
 	autoselect bool
@@ -175,11 +174,11 @@ func WithPartitions(tenants int) Option {
 // WithProfileSampling profiles one in every n sets per shard for the
 // Rebalance miss curves (default 16). Larger n is cheaper and noisier;
 // n = 1 profiles every set. Membership is precomputed into a per-shard
-// bitmap, so accesses to the other n-1 of every n sets skip the profiler
-// with a single inlined bit test. Profiled sets always take the locked
-// lookup path (the UMON stacks need mutual exclusion), which is why the
-// default halved when lookups went optimistic: 1-in-16 keeps the
-// profiler's share of lookup cost where 1-in-8 sat on the locked plane.
+// bitmap, so accesses to the other n-1 of every n sets skip the tag
+// directory with a single inlined bit test. Profiled sets always take the
+// locked lookup path (the directory needs mutual exclusion), which is why
+// the default halved when lookups went optimistic: 1-in-16 keeps the
+// directory's share of lookup cost where 1-in-8 sat on the locked plane.
 func WithProfileSampling(n int) Option {
 	return optionFunc(func(s *settings) error { s.sampleEvery = n; return nil })
 }
@@ -330,8 +329,9 @@ func WithRebalanceHysteresis(minGain float64, minSamples uint64) Option {
 // WithPolicyAutoSelect lets the cache pick each tenant's replacement
 // policy online instead of pinning every tenant to WithPolicy. The
 // candidates (default: every kind that fits the geometry, except
-// Random) are scored per tenant on the profiled lookup stream through
-// per-candidate shadow tag directories, and at each rebalance boundary
+// Random) are scored per tenant on the profiled lookup stream by the
+// shard's auxiliary tag directory, which runs one instance of every
+// candidate over its sampled shadow sets, and at each rebalance boundary
 // — manual Rebalance calls or WithAutoRebalance ticks — a tenant whose
 // best candidate beats its current policy by more than the
 // WithRebalanceHysteresis fraction (with at least minSamples profiled
@@ -343,9 +343,9 @@ func WithRebalanceHysteresis(minGain float64, minSamples uint64) Option {
 //
 // The base WithPolicy kind is always a candidate; listing BT requires
 // power-of-two ways. Auto-selection costs memory (one policy instance
-// per candidate per shard plus the shadow directories) and fan-out
-// writes on recency updates — the price of keeping every candidate
-// switch-ready.
+// per candidate per shard, plus one per candidate over the tag
+// directory's shadow sets) and fan-out writes on recency updates — the
+// price of keeping every candidate switch-ready.
 func WithPolicyAutoSelect(candidates ...plru.Kind) Option {
 	return optionFunc(func(s *settings) error {
 		s.autoselect = true
@@ -363,26 +363,13 @@ func WithMetricsSink(sink MetricsSink) Option {
 	return optionFunc(func(s *settings) error { s.sink = sink; return nil })
 }
 
-// WithImmediateRecency restores the fully locked data plane: every
-// lookup takes its shard mutex and applies the replacement policy's
-// Touch before returning, instead of the default optimistic path
-// (lock-free reads for pointer-free types, recency deferred through the
-// per-shard touch ring until the next writer drains it). Use it when
-// exact, reproducible eviction order matters more than read scalability
-// — differential tests, trace replay, simulation. Single-threaded
-// workloads whose touch ring never overflows behave identically either
-// way; concurrent ones may observe slightly different eviction choices
-// under the default, never different key→value contents.
-func WithImmediateRecency() Option {
-	return optionFunc(func(s *settings) error { s.immediate = true; return nil })
-}
-
 // WithTouchBuffer sets the per-shard deferred-recency ring capacity in
 // records (a positive power of two; default 256). More than n lookup
 // hits between two writer drains overwrite the oldest records — pseudo-
 // LRU replacement tolerates such sampled recency, but a larger buffer
-// keeps more of it under read-mostly bursts. Ignored (no ring exists)
-// under WithImmediateRecency.
+// keeps more of it under read-mostly bursts. Single-threaded workloads
+// whose ring never overflows apply every touch, in order, exactly as an
+// immediate Touch on each hit would.
 func WithTouchBuffer(n int) Option {
 	return optionFunc(func(s *settings) error { s.touchBuffer = n; return nil })
 }

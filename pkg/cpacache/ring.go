@@ -101,7 +101,7 @@ func (sh *shard[K, V]) pushTouch(set, way, tenant int) {
 // policy Touch immediately is the same order at half the cost. Caller
 // holds sh.mu.
 func (c *Cache[K, V]) touchOrPush(sh *shard[K, V], set, way, tenant int) {
-	if sh.touchRing != nil && atomic.LoadUint64(&sh.touchHead) != sh.touchDrained {
+	if atomic.LoadUint64(&sh.touchHead) != sh.touchDrained {
 		sh.pushTouch(set, way, tenant)
 		return
 	}
@@ -112,7 +112,7 @@ func (c *Cache[K, V]) touchOrPush(sh *shard[K, V], set, way, tenant int) {
 // (with the line's signature) rather than a Touch, in exactly the program
 // order the ring preserves. Caller holds sh.mu.
 func (c *Cache[K, V]) fillOrPush(sh *shard[K, V], set, way, tenant int, sig uint8) {
-	if sh.touchRing != nil && atomic.LoadUint64(&sh.touchHead) != sh.touchDrained {
+	if atomic.LoadUint64(&sh.touchHead) != sh.touchDrained {
 		h := sh.touchHead
 		sh.touchHead = h + 1
 		sh.touchRing[h&sh.touchMask] = packFill(set, way, tenant, sig)
@@ -127,9 +127,6 @@ func (c *Cache[K, V]) fillOrPush(sh *shard[K, V], set, way, tenant int, sig uint
 // the walk lives in drainSlow. Records published by producers that raced
 // past the observed head are left for the next drain.
 func (c *Cache[K, V]) drainTouches(sh *shard[K, V]) {
-	if sh.touchRing == nil {
-		return // immediate-recency configuration: nothing ever queues
-	}
 	if h := atomic.LoadUint64(&sh.touchHead); h != sh.touchDrained {
 		c.drainSlow(sh, h)
 	}

@@ -1,4 +1,4 @@
-package replacement
+package plru
 
 import (
 	"encoding/json"
@@ -18,9 +18,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from
 // behavior of the implementation.
 //
 // The checked-in testdata/golden.json was generated against the original
-// internal/replacement implementation (before the engine moved to pkg/plru),
-// so this test proves the delegating implementation is equivalent to the
-// pre-refactor one on every policy.
+// simulator policy implementation (before it was extracted into this package),
+// so this test pins the package to the pre-refactor behavior step for step
+// on every policy.
 func goldenTrace(kind Kind) []int {
 	const (
 		sets  = 4
